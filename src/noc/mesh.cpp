@@ -18,7 +18,8 @@ class NocMesh::MasterAdapter final : public sim::Component {
                 txn::InitiatorPort& port, NodeId at,
                 Router::PacketFifo& egress)
       : sim::Component(clk, std::move(name)), mesh_(mesh), port_(port),
-        at_(at), egress_(egress) {}
+        at_(at), egress_(egress),
+        local_in_(mesh.routers_[at]->input(Dir::Local)) {}
 
   void evaluate() override {
     // Deliver arrived responses to the master.  A node hosting several
@@ -41,8 +42,7 @@ class NocMesh::MasterAdapter final : public sim::Component {
       port_.rsp.push(rsp);
     }
     // Inject one request per cycle into the local router port.
-    auto& local_in = mesh_.routers_[at_]->input(Dir::Local);
-    if (!port_.req.empty() && local_in.canPush()) {
+    if (!port_.req.empty() && local_in_.canPush()) {
       RequestPtr r = port_.req.pop();
       auto pkt = std::make_shared<NocPacket>();
       pkt->kind = NocPacket::Kind::Request;
@@ -52,7 +52,7 @@ class NocMesh::MasterAdapter final : public sim::Component {
       pkt->flits = NocPacket::requestFlits(*r);
       // Posted writes produce no response packet (see SlaveAdapter).
       if (!(r->posted && r->op == Opcode::Write)) outstanding_.insert(r->id);
-      local_in.push(pkt);
+      local_in_.push(pkt);
     }
   }
 
@@ -67,6 +67,7 @@ class NocMesh::MasterAdapter final : public sim::Component {
   txn::InitiatorPort& port_;
   NodeId at_;
   Router::PacketFifo& egress_;
+  Router::PacketFifo& local_in_;  ///< the node router's Local input
   std::unordered_set<std::uint64_t> outstanding_;
 
   SIM_STATE_MEMBERS(outstanding_);
@@ -79,16 +80,18 @@ class NocMesh::SlaveAdapter final : public sim::Component {
  public:
   SlaveAdapter(sim::ClockDomain& clk, std::string name, NocMesh& mesh,
                txn::TargetPort& port, NodeId at, Router::PacketFifo& egress)
-      : sim::Component(clk, std::move(name)), mesh_(mesh), port_(port),
-        at_(at), egress_(egress) {}
+      : sim::Component(clk, std::move(name)), port_(port), at_(at),
+        egress_(egress), local_in_(mesh.routers_[at]->input(Dir::Local)) {}
 
   void evaluate() override {
     const sim::Picos now = clk_.simulator().now();
     // Requests off the network into the memory model (see MasterAdapter for
-    // the shared-egress kind filtering).
+    // the shared-egress kind filtering).  The LMI controller popAt()s this
+    // FIFO out of order: canPushThisEdge() keeps the check independent of
+    // which of the two evaluates first.
     while (!egress_.empty() &&
            egress_.front()->kind == NocPacket::Kind::Request &&
-           port_.req.canPush()) {
+           port_.req.canPushThisEdge()) {
       NocPacketPtr pkt = egress_.pop();
       // Posted writes produce no response: nothing to route back.
       if (!(pkt->req->posted && pkt->req->op == Opcode::Write)) {
@@ -97,8 +100,7 @@ class NocMesh::SlaveAdapter final : public sim::Component {
       port_.req.push(pkt->req);
     }
     // Responses whose data has fully left the memory go back as packets.
-    auto& local_in = mesh_.routers_[at_]->input(Dir::Local);
-    if (!port_.rsp.empty() && local_in.canPush()) {
+    if (!port_.rsp.empty() && local_in_.canPush()) {
       const ResponsePtr& rsp = port_.rsp.front();
       if (rsp->sched.lastBeat(rsp->beats) <= now) {
         ResponsePtr done = port_.rsp.pop();
@@ -113,7 +115,7 @@ class NocMesh::SlaveAdapter final : public sim::Component {
         pkt->dst = it->second;
         pkt->flits = NocPacket::responseFlits(*done->req);
         origin_.erase(it);
-        local_in.push(pkt);
+        local_in_.push(pkt);
       }
     }
   }
@@ -125,10 +127,10 @@ class NocMesh::SlaveAdapter final : public sim::Component {
   NodeId at() const { return at_; }
 
  private:
-  NocMesh& mesh_;
   txn::TargetPort& port_;
   NodeId at_;
   Router::PacketFifo& egress_;
+  Router::PacketFifo& local_in_;  ///< the node router's Local input
   std::unordered_map<std::uint64_t, NodeId> origin_;
 
   SIM_STATE_MEMBERS(origin_);

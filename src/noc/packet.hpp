@@ -8,8 +8,10 @@
 // compared on the same workloads (bench_noc_outlook).
 //
 // Transport granularity: packets are serialised link by link at one flit per
-// cycle (store-and-forward per hop, like the platform's bridges, so the
-// comparison isolates *topology and routing*, not buffering discipline).
+// cycle.  Routers forward virtual cut-through by default: a packet is handed
+// to the next hop once its header has crossed, while the link stays busy
+// until its tail has (RouterConfig::cut_through; false gives
+// store-and-forward per hop as a pessimistic ablation).
 // A request packet carries a header flit plus one flit per write-data beat;
 // a response packet a header flit plus one flit per read-data beat.
 

@@ -3,11 +3,16 @@
 // (XY) routing, round-robin output arbitration, input-buffered with
 // per-packet link serialisation (one flit per cycle per link) and a
 // configurable pipeline latency per hop.
+//
+// Evaluation is input-driven: each edge routes every input's head packet
+// once (a table lookup), arbitrates only the outputs some head wants, and
+// returns at once when no input holds a packet and no link is busy.
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
@@ -65,12 +70,20 @@ class Router final : public sim::Component {
     return out_[static_cast<std::size_t>(d)].chan;
   }
 
-  /// XY route: which output port a packet to `dst` takes from this router.
+  /// XY route: which output port a packet to `dst` takes from this router
+  /// (a lookup in the route table built at construction).
   Dir routeTo(NodeId dst) const;
 
  private:
+  /// Output each input's head packet routes to this edge, kNoRoute for an
+  /// empty input.  Evaluate-local: rebuilt every edge, never state.
+  using HeadRoutes = std::array<std::uint8_t, kDirs>;
+  static constexpr std::uint8_t kNoRoute = kDirs;
+
   struct OutputEngine {
     PacketFifo* sink = nullptr;
+    /// Packet on the link.  Held until its tail has crossed, also after a
+    /// cut-through handoff, so it is set exactly while the link is busy.
     NocPacketPtr streaming;
     std::uint32_t cycles_left = 0;  ///< link occupancy remaining
     std::uint32_t push_in = 0;      ///< cycles until handoff downstream
@@ -86,12 +99,16 @@ class Router final : public sim::Component {
     }
   };
 
+  std::uint8_t headRoute(std::size_t i) const;
   void tickEngine(OutputEngine& e);
-
-  void runOutput(std::size_t d);
+  /// Grant free output `d` to the next input whose head routes to it; a
+  /// granted input's entry in `want` (and the `wanted` output mask) is
+  /// refreshed from its next head.
+  void arbitrate(std::size_t d, HeadRoutes& want, unsigned& wanted);
 
   unsigned x_, y_, mesh_w_, mesh_h_;
   RouterConfig cfg_;
+  std::vector<Dir> route_;  ///< destination node -> output port
   std::array<std::unique_ptr<PacketFifo>, kDirs> in_;
   std::array<OutputEngine, kDirs> out_;
   std::uint64_t routed_ = 0;
@@ -102,6 +119,7 @@ class Router final : public sim::Component {
   SIM_STATE_EXEMPT(mesh_w_, "immutable configuration (mesh size)");
   SIM_STATE_EXEMPT(mesh_h_, "immutable configuration (mesh size)");
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(route_, "immutable configuration (XY route table)");
   SIM_STATE_EXEMPT(in_, "registered Updatables (kernel checkpoints FIFOs)");
 };
 

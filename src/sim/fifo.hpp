@@ -95,9 +95,20 @@ class SyncFifo final : public Updatable {
   ClockDomain& clk() { return clk_; }
 
   /// Space check against *registered* occupancy: pops staged this edge do not
-  /// free space until the next edge.
+  /// free space until the next edge.  Out-of-order pops (popAt) are the
+  /// exception: their slot is free at once, so the answer depends on whether
+  /// the popAt() consumer evaluated first.  The fig5 and record-use-case
+  /// goldens (bus platforms with the LMI) are pinned with that order
+  /// dependence (see ROADMAP); new producers into a popAt()-serviced FIFO
+  /// use canPushThisEdge().
   bool canPush(std::size_t n = 1) const {
     return committed_n_ + staged_n_ + n <= capacity_;
+  }
+
+  /// canPush() with out-of-order pops staged this edge still holding their
+  /// slots: the same answer whatever the evaluation order.
+  bool canPushThisEdge(std::size_t n = 1) const {
+    return committed_n_ + ooo_pops_ + staged_n_ + n <= capacity_;
   }
 
   void push(T v) {

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <tuple>
+#include <vector>
 
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
 #include "noc/mesh.hpp"
+#include "platform/platform.hpp"
+#include "sim/check.hpp"
 #include "sim/simulator.hpp"
 #include "txn/ports.hpp"
 
@@ -25,6 +30,221 @@ TEST(NocRouter, XyRoutingPicksDimensionOrder) {
   EXPECT_EQ(r.routeTo(/*node (1,0)=*/1), noc::Dir::North);
   EXPECT_EQ(r.routeTo(/*node (1,2)=*/7), noc::Dir::South);
   EXPECT_EQ(r.routeTo(/*node (1,1)=*/4), noc::Dir::Local);
+
+  // The route table of every router of several mesh shapes, degenerate rows
+  // and columns included: x first, then y, Local at home.
+  const std::pair<unsigned, unsigned> shapes[] = {
+      {1, 4}, {4, 1}, {3, 3}, {4, 3}, {5, 2}};
+  for (const auto& [w, h] : shapes) {
+    for (unsigned y = 0; y < h; ++y) {
+      for (unsigned x = 0; x < w; ++x) {
+        noc::Router rxy(clk, "r", x, y, w, h, {});
+        for (unsigned dy = 0; dy < h; ++dy) {
+          for (unsigned dx = 0; dx < w; ++dx) {
+            noc::Dir want = noc::Dir::Local;
+            if (dx != x) {
+              want = dx > x ? noc::Dir::East : noc::Dir::West;
+            } else if (dy != y) {
+              want = dy > y ? noc::Dir::South : noc::Dir::North;
+            }
+            EXPECT_EQ(rxy.routeTo(static_cast<noc::NodeId>(dy * w + dx)), want)
+                << w << "x" << h << " mesh, router (" << x << "," << y
+                << ") to (" << dx << "," << dy << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NocRouter, RouteOutsideMeshThrowsNamingRouter) {
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("noc", 500.0);
+  noc::Router r(clk, "noc.r21", 2, 1, 4, 3, {});
+  for (noc::NodeId dst : {noc::NodeId{12}, noc::NodeId{13}, noc::NodeId{400}}) {
+    try {
+      (void)r.routeTo(dst);
+      ADD_FAILURE() << "routeTo(" << dst << ") did not throw";
+    } catch (const sim::InvariantViolation& e) {
+      EXPECT_EQ(e.context().who, "noc.r21");
+      EXPECT_NE(std::string(e.what()).find("noc.r21"), std::string::npos);
+      EXPECT_NE(e.detail().find("outside the 4x3 mesh"), std::string::npos)
+          << e.detail();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Same-edge arbitration, hand-driven: one router at (1,1) of a 3x3 mesh, a
+// feeder that pushes scripted packets into its inputs on edge 0, and a drain
+// that empties every output sink each edge and records (edge the packet
+// became visible downstream, output, tag).  The expected edges follow from
+// the router timing: a packet granted on edge g with pipeline latency 2 and
+// f flits occupies its link for 2+f edges and, cut-through, is pushed
+// downstream on edge g+2 (visible on g+3).
+// ---------------------------------------------------------------------------
+
+struct Scripted {
+  noc::Dir in;
+  noc::NodeId dst;
+  std::uint16_t tag;
+  std::uint32_t flits = 1;
+  std::uint64_t msg_id = 0;
+};
+
+struct Arrival {
+  std::uint64_t edge;
+  noc::Dir out;
+  std::uint16_t tag;
+
+  bool operator==(const Arrival&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const Arrival& a) {
+    return os << "{edge " << a.edge << ", out " << static_cast<int>(a.out)
+              << ", tag " << a.tag << "}";
+  }
+  auto simStateMembers() { return std::tie(edge, out, tag); }
+};
+
+std::vector<Arrival> runHandDriven(const std::vector<Scripted>& script,
+                                   noc::RouterConfig cfg) {
+  struct Feeder : sim::Component {
+    noc::Router& r;
+    const std::vector<Scripted>& script;
+    bool fed = false;
+    Feeder(sim::ClockDomain& c, noc::Router& router,
+           const std::vector<Scripted>& s)
+        : sim::Component(c, "feeder"), r(router), script(s) {}
+    void evaluate() override {
+      if (fed) return;
+      fed = true;
+      for (const Scripted& p : script) {
+        auto pkt = std::make_shared<noc::NocPacket>();
+        pkt->dst = p.dst;
+        pkt->src = p.tag;  // routers never read src: use it as the tag
+        pkt->flits = p.flits;
+        pkt->req = std::make_shared<txn::Request>();
+        pkt->req->msg_id = p.msg_id;
+        r.input(p.in).push(pkt);
+      }
+    }
+    SIM_STATE_MEMBERS(fed);
+    SIM_STATE_EXEMPT(r, "wiring");
+    SIM_STATE_EXEMPT(script, "immutable configuration");
+  };
+  struct Drain : sim::Component {
+    std::vector<std::unique_ptr<noc::Router::PacketFifo>>& sinks;
+    std::vector<Arrival> seen;
+    std::uint64_t edge = 0;
+    Drain(sim::ClockDomain& c,
+          std::vector<std::unique_ptr<noc::Router::PacketFifo>>& s)
+        : sim::Component(c, "drain"), sinks(s) {}
+    void evaluate() override {
+      for (std::size_t d = 0; d < noc::kDirs; ++d) {
+        while (!sinks[d]->empty()) {
+          seen.push_back(
+              {edge, static_cast<noc::Dir>(d), sinks[d]->pop()->src});
+        }
+      }
+      ++edge;
+    }
+    SIM_STATE_MEMBERS(seen, edge);
+    SIM_STATE_EXEMPT(sinks, "wiring (kernel checkpoints FIFOs)");
+  };
+
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("noc", 400.0);
+  noc::Router r(clk, "r11", 1, 1, 3, 3, cfg);
+  std::vector<std::unique_ptr<noc::Router::PacketFifo>> sinks;
+  for (std::size_t d = 0; d < noc::kDirs; ++d) {
+    sinks.push_back(std::make_unique<noc::Router::PacketFifo>(
+        clk, "sink" + std::to_string(d), 16));
+    r.connectOutput(static_cast<noc::Dir>(d), sinks.back().get());
+  }
+  Feeder feeder(clk, r, script);
+  Drain drain(clk, sinks);
+  // Every edge is also replayed in reverse component order: the arbitration
+  // must not depend on evaluation order.
+  s.setDeepCheck(true);
+  for (int i = 0; i < 40; ++i) s.step();
+  EXPECT_EQ(s.deepCheckStats().skipped_edges, 0u);
+  EXPECT_EQ(r.packetsRouted(), script.size());
+  return drain.seen;
+}
+
+// Node ids seen from (1,1) of a 3x3 mesh.
+constexpr noc::NodeId kNorth = 1, kEast = 5;
+
+TEST(NocRouterArbitration, ContendingInputsGetRoundRobinGrants) {
+  using noc::Dir;
+  const std::vector<Scripted> script = {{Dir::West, kEast, 1},
+                                        {Dir::West, kEast, 2},
+                                        {Dir::North, kEast, 3},
+                                        {Dir::North, kEast, 4}};
+  // The round-robin scan starts after input North (index 0): West wins
+  // first, then the two inputs alternate, one 3-edge link occupancy apart.
+  const std::vector<Arrival> want = {{4, Dir::East, 1},
+                                     {7, Dir::East, 3},
+                                     {10, Dir::East, 2},
+                                     {13, Dir::East, 4}};
+  EXPECT_EQ(runHandDriven(script, {}), want);
+}
+
+TEST(NocRouterArbitration, NextHeadWinsLaterOutputOnSameEdge) {
+  using noc::Dir;
+  // West's head goes North (output 0); once popped, its next head (East,
+  // output 1) is visible at once and wins East on the same edge.
+  const std::vector<Arrival> same_edge = {{4, Dir::North, 1},
+                                          {4, Dir::East, 2}};
+  EXPECT_EQ(runHandDriven({{Dir::West, kNorth, 1}, {Dir::West, kEast, 2}},
+                          {}),
+            same_edge);
+  // Reversed, the next head wants an output already arbitrated this edge
+  // and waits one edge.
+  const std::vector<Arrival> next_edge = {{4, Dir::East, 1},
+                                          {5, Dir::North, 2}};
+  EXPECT_EQ(runHandDriven({{Dir::West, kEast, 1}, {Dir::West, kNorth, 2}},
+                          {}),
+            next_edge);
+}
+
+TEST(NocRouterArbitration, MessageLockingHoldsPortForSameMessage) {
+  using noc::Dir;
+  const std::vector<Scripted> script = {{Dir::West, kEast, 1, 1, 7},
+                                        {Dir::West, kEast, 2, 1, 7},
+                                        {Dir::West, kEast, 4, 1, 8},
+                                        {Dir::North, kEast, 3, 1, 9}};
+  noc::RouterConfig locking;
+  locking.message_locking = true;
+  // West keeps the port for the rest of message 7 only; its message 8 goes
+  // back to round-robin, which picks North first.
+  const std::vector<Arrival> held = {{4, Dir::East, 1},
+                                     {7, Dir::East, 2},
+                                     {10, Dir::East, 3},
+                                     {13, Dir::East, 4}};
+  EXPECT_EQ(runHandDriven(script, locking), held);
+  // Without locking, round-robin hands the port to North in between.
+  const std::vector<Arrival> interleaved = {{4, Dir::East, 1},
+                                            {7, Dir::East, 3},
+                                            {10, Dir::East, 2},
+                                            {13, Dir::East, 4}};
+  EXPECT_EQ(runHandDriven(script, {}), interleaved);
+}
+
+TEST(NocRouterArbitration, CrossingTailBlocksLinkForRemainingCycles) {
+  using noc::Dir;
+  // A 4-flit packet granted on edge 1 occupies East for 2+4 = 6 edges.
+  // Cut-through hands it downstream on edge 3 with 3 link cycles left; the
+  // next grant waits exactly those 3 edges (granted on edge 7, visible 10).
+  const std::vector<Scripted> script = {{Dir::West, kEast, 1, 4},
+                                        {Dir::North, kEast, 2, 1}};
+  const std::vector<Arrival> cut = {{4, Dir::East, 1}, {10, Dir::East, 2}};
+  EXPECT_EQ(runHandDriven(script, {}), cut);
+  // Store-and-forward only moves the first handoff to the tail edge; the
+  // second grant is unchanged.
+  noc::RouterConfig saf;
+  saf.cut_through = false;
+  const std::vector<Arrival> stored = {{7, Dir::East, 1}, {10, Dir::East, 2}};
+  EXPECT_EQ(runHandDriven(script, saf), stored);
 }
 
 struct NocRig {
@@ -247,6 +467,32 @@ TEST(NocMesh, MessageLockingPreservesTrains) {
       EXPECT_GT(fragmented, 0) << "round-robin should interleave at least once";
     }
   }
+}
+
+TEST(NocMesh, DeepCheckReplaysEveryEdgeOnMeshRig) {
+  NocRig rig(3, 3, 4, {0, 2, 6, 8}, 40);
+  rig.sim.setDeepCheck(true);
+  EXPECT_NO_THROW(rig.run());
+  EXPECT_TRUE(rig.allDone());
+  EXPECT_GT(rig.sim.deepCheckStats().replayed_edges, 0u);
+  EXPECT_EQ(rig.sim.deepCheckStats().skipped_edges, 0u);
+}
+
+TEST(NocMesh, DeepCheckReplaysEveryEdgeOnMeshPlatformWindow) {
+  platform::PlatformConfig cfg;
+  cfg.protocol = platform::Protocol::Stbus;
+  cfg.topology = platform::Topology::NocMesh;
+  cfg.memory = platform::MemoryKind::Lmi;
+  cfg.noc_width = 4;
+  cfg.noc_height = 3;
+  cfg.workload_scale = 0.25;
+  platform::Platform p(cfg);
+  p.simulator().setDeepCheck(true);
+  EXPECT_NO_THROW(p.simulator().run(20'000'000));  // 20 us simulated
+  ASSERT_NE(p.nocMesh(), nullptr);
+  EXPECT_GT(p.nocMesh()->totalHops(), 0u);
+  EXPECT_GT(p.simulator().deepCheckStats().replayed_edges, 0u);
+  EXPECT_EQ(p.simulator().deepCheckStats().skipped_edges, 0u);
 }
 
 TEST(NocMesh, DeterministicRuns) {
