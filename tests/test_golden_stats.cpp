@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +43,12 @@ struct GoldenCase {
   std::string name;  ///< golden file stem and gtest parameter name
   core::ScenarioResult (*run)();
 };
+
+// Print a case by name.  gtest's default dumps the object's raw bytes,
+// heap and code addresses included, into the `# GetParam() = ...` suffix
+// that gtest_discover_tests folds into the ctest test name, so every
+// discovery run would name these tests differently.
+void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.name; }
 
 core::ScenarioResult runScenarioFile(const char* stem) {
   const auto sc =
