@@ -33,9 +33,10 @@
 //
 // Digest canon: transaction ids (Request::id/root_id) are volatile — a
 // restored window re-issues new requests from the process-wide id counter, so
-// ids differ between the two statecheck passes (and, at --kernel-threads > 1,
-// between runs).  Ids therefore never enter a digest, and id-keyed containers
-// digest their *values* commutatively so iteration order cannot matter.
+// ids differ between the two statecheck passes (and between runs that share
+// the counter, such as concurrent SweepRunner workers).  Ids therefore never
+// enter a digest, and id-keyed containers digest their *values*
+// commutatively so iteration order cannot matter.
 //
 // This header is deliberately free of kernel dependencies (no component.hpp /
 // clock.hpp) so low-level payload types (txn::Request, noc::NocPacket) can

@@ -3,17 +3,18 @@
 // tests/lint/ holds one directory per rule.  Each directory contains a
 // deliberately-bad fixture (`bad.*`) whose findings are pinned below, plus an
 // `allowed.*` twin where the identical defect carries an
-// `// mpsoc-lint: allow(<rule>)` annotation and must be silent.  The
-// cross-lane-deref corpus adds `rctouch.cpp`, where RC_TOUCH() attributes the
-// foreign access instead of the annotation.  tests/lint/clean/ collects
-// near-misses (static_assert, `static const`, ordered std::map iteration,
-// `override` present) that must not fire at all; the unmanifested-state
-// corpus keeps its near-misses (auto-exempt references/const, dotted foreign
-// entries, WITH_BASE base argument) in its own clean.hpp next to the rigs.
+// `// mpsoc-lint: allow(<rule>)` annotation and must be silent.  A rule with
+// more than one bad shape pins each in its own fixture (shared-static:
+// namespace-scope `bad.cpp` and evaluate()-local `bad_evaluate.cpp`).
+// tests/lint/clean/ collects near-misses (static_assert, `static const`,
+// ordered std::map iteration, `override` present) that must not fire at
+// all; the unmanifested-state corpus keeps its near-misses (auto-exempt
+// references/const, dotted foreign entries, WITH_BASE base argument) in its
+// own clean.hpp next to the rigs.
 //
-// The fixtures live under a nested src/ (and src/stbus, src/platform) so the
-// path-scoped rules see them as kernel / protocol / platform code; the
-// whole-tree lint invocations exclude the corpus with `--skip tests/lint/`.
+// The fixtures live under a nested src/ (and src/stbus) so the path-scoped
+// rules see them as kernel / protocol code; the whole-tree lint invocations
+// exclude the corpus with `--skip tests/lint/`.
 //
 // The test shells out to the real binary (MPSOC_LINT_BIN, injected by CMake)
 // and diffs the parsed findings against the expected set — rule name, file
@@ -87,9 +88,9 @@ std::string fixtureDir(const std::string& rule) {
   return std::string(MPSOC_LINT_FIXTURES) + "/" + rule;
 }
 
-// One pinned finding: the rule's bad fixture must report exactly these
-// (file, line) locations — and nothing else in the directory, which also
-// proves the allow()/RC_TOUCH twin fixtures stay silent.
+// One pinned fixture: a rule's directory must report exactly the (file, line)
+// locations of its cases — and nothing else, which also proves the allow()
+// twin fixtures stay silent.
 struct RuleCase {
   const char* rule;
   const char* file;               // relative to tests/lint/
@@ -107,9 +108,9 @@ const std::vector<RuleCase>& ruleCases() {
       {"raw-txn-fifo", "raw-txn-fifo/src/bad.hpp", {5}},
       {"idle-busy-poll", "idle-busy-poll/src/bad.cpp", {4}},
       {"shared-static", "shared-static/src/bad.cpp", {4}},
-      {"evaluate-local-static", "evaluate-local-static/src/bad.cpp", {4}},
-      {"cross-lane-deref", "cross-lane-deref/src/bad.cpp", {11}},
-      {"unlaned-component", "unlaned-component/src/platform/bad.cpp", {5}},
+      // A mutable static inside evaluate() is shared by concurrent sweep
+      // workers just the same.
+      {"shared-static", "shared-static/src/bad_evaluate.cpp", {4}},
       // Line 9: member in no manifest.  Line 10: duplicate entry and a typo'd
       // name (two findings, one pinned location).  Line 13: a Component
       // subclass with state but no manifest at all.
@@ -122,18 +123,29 @@ const std::vector<RuleCase>& ruleCases() {
   return cases;
 }
 
+// Pinned findings of every fixture of `rule` (of all rules when empty).
+std::set<std::tuple<std::string, int, std::string>> expectedFindings(
+    const std::string& rule = "") {
+  std::set<std::tuple<std::string, int, std::string>> out;
+  for (const RuleCase& rc : ruleCases()) {
+    if (!rule.empty() && rule != rc.rule) continue;
+    for (int line : rc.lines) out.emplace(rc.file, line, rc.rule);
+  }
+  return out;
+}
+
 }  // namespace
 
-// Every rule directory: the bad fixture yields exactly the pinned findings
-// (exit 1), and the allow()-annotated / RC_TOUCH twins contribute none.
+// Every rule directory: the bad fixtures yield exactly the pinned findings
+// (exit 1), and the allow()-annotated twins contribute none.
 TEST(Lint, RuleFixturesMatchExpectedFindings) {
-  for (const RuleCase& rc : ruleCases()) {
-    SCOPED_TRACE(rc.rule);
-    const LintRun run = runLint(fixtureDir(rc.rule));
+  std::set<std::string> rules;
+  for (const RuleCase& rc : ruleCases()) rules.insert(rc.rule);
+  for (const std::string& rule : rules) {
+    SCOPED_TRACE(rule);
+    const LintRun run = runLint(fixtureDir(rule));
     EXPECT_EQ(run.exit_code, 1) << run.output;
-    std::set<std::tuple<std::string, int, std::string>> expected;
-    for (int line : rc.lines) expected.emplace(rc.file, line, rc.rule);
-    EXPECT_EQ(run.findings, expected) << run.output;
+    EXPECT_EQ(run.findings, expectedFindings(rule)) << run.output;
   }
 }
 
@@ -155,11 +167,7 @@ TEST(Lint, ReportIsDeterministic) {
   EXPECT_EQ(a.output, b.output);
   // Exactly the union of the per-rule expectations — nothing extra hides in
   // a fixture meant for another rule.
-  std::set<std::tuple<std::string, int, std::string>> expected;
-  for (const RuleCase& rc : ruleCases()) {
-    for (int line : rc.lines) expected.emplace(rc.file, line, rc.rule);
-  }
-  EXPECT_EQ(a.findings, expected) << a.output;
+  EXPECT_EQ(a.findings, expectedFindings()) << a.output;
 }
 
 // --skip excludes matching paths: skipping the corpus root leaves nothing to

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
@@ -96,6 +98,26 @@ TEST(ScenarioParser, ErrorsCarryLineNumbers) {
   EXPECT_THROW(platform::parseScenario("stbus_type = 4\n"),
                std::runtime_error);
   EXPECT_THROW(platform::parseScenario("topology\n"), std::runtime_error);
+}
+
+TEST(ScenarioParser, RemovedKernelKeysAreUnknown) {
+  // The kernel is serial: the old sharding keys must fail loudly rather than
+  // be absorbed.
+  const std::pair<std::string, std::string> removed[] = {
+      {"kernel_threads", "2"}, {"racecheck", "true"}};
+  for (const auto& [key, value] : removed) {
+    try {
+      platform::parseScenario("protocol = stbus\n" + key + " = " + value +
+                              "\n");
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown scenario option '" + key + "'"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(ScenarioParser, ShippedScenariosLoad) {

@@ -10,36 +10,27 @@
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
 #      byte-identical digest sets (determinism under parallelism); the -j 2
 #      run writes BENCH_sweep.json (per-point wall-clock, Medges/s, digest)
-#   5. kernel-perf smoke: fig3-small gated vs --no-gating digest compare,
-#      then a --kernel-threads 1/2/4 scaling curve — every digest must be
-#      bit-identical to the serial gated run; curve lands in BENCH_kernel.json
-#      (mpsoc-bench-kernel-v2)
-#   6. racecheck matrix: every shipped scenario under the deterministic
-#      lane-ownership checker (mpsoc_run --verify --racecheck) at
-#      --kernel-threads 1, 2 and 4 — any cross-lane evaluate-phase access
-#      fails the stage, and the digests must match the unchecked sweep
-#   7. statecheck matrix: every shipped scenario under the
-#      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) at
-#      --kernel-threads 1, 2 and 4 — the oracle checkpoints mid-run, re-runs
-#      a window of edges after a rewind and fails the stage if any state
-#      holder's digest diverges (an incomplete SIM_STATE manifest); final
-#      digests must still match the unchecked sweep
-#   8. fast-forward matrix: every shipped scenario with the warm-up region
+#   5. kernel-perf smoke: fig3-small gated vs --no-gating digest compare;
+#      throughput of both runs lands in BENCH_kernel.json
+#      (mpsoc-bench-kernel-v3)
+#   6. statecheck matrix: every shipped scenario under the
+#      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) — the
+#      oracle checkpoints mid-run, re-runs a window of edges after a rewind
+#      and fails the stage if any state holder's digest diverges (an
+#      incomplete SIM_STATE manifest); final digests must still match the
+#      unchecked sweep
+#   7. fast-forward matrix: every shipped scenario with the warm-up region
 #      under the loosely-timed quantum engine (mpsoc_run
-#      --fast-forward-until 100000000 --ff-check) at --kernel-threads 1, 2
-#      and 4 — the in-run handoff-equivalence oracle gates the
-#      checkpoint/restore boundary, and the digests must be bit-identical
-#      across thread counts; the warm-up cost harness then writes
-#      BENCH_ff.json and gates the LT speedup at >= 5x
-#   9. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases at
-#      --threads 1,2) — generator determinism is asserted by diffing two
-#      --emit passes, then the monitored campaign gates on violations,
-#      invariant trips and cross-thread digest divergence, auto-shrinking
-#      any failure to a minimal reproducer
-#  10. ThreadSanitizer matrix: separate TSan build (tsan is incompatible with
-#      asan) running every shipped scenario at --kernel-threads 2 and 4 —
-#      any data race in the sharded evaluate phase fails the stage
-#  11. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
+#      --fast-forward-until 100000000 --ff-check) — the in-run
+#      handoff-equivalence oracle gates the checkpoint/restore boundary; the
+#      warm-up cost harness then writes BENCH_ff.json and gates the LT
+#      speedup at >= 5x
+#   8. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
+#      generator determinism is asserted by diffing two --emit passes, then
+#      the monitored campaign gates on violations, invariant trips and
+#      gated/ungated digest divergence, auto-shrinking any failure to a
+#      minimal reproducer
+#   9. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
 #      when clang-format is not installed; tests/lint/ fixtures excluded)
 #
 # Usage: tools/check.sh [build-dir]     (default: build-check)
@@ -117,17 +108,14 @@ else
   FAILED=1
 fi
 
-stage "kernel-perf smoke (gating neutrality + kernel-thread scaling curve)"
-# The Fig. 3 full-platform instance at reduced workload scale.  First the
-# gating-neutrality check (gated vs --no-gating digests must match: a
-# mismatch means some component slept with work pending), then the sharded
-# kernel: --kernel-threads 1, 2 and 4.  Commit is single-threaded in slot
-# order by construction, so every digest must be bit-identical to the serial
-# gated run whatever the thread count.  The scaling curve is recorded in
-# BENCH_kernel.json, schema mpsoc-bench-kernel-v2 (note: sanitizer build on
-# whatever cores this host has — the committed repo-root BENCH_kernel.json
-# is measured on a Release build; treat the smoke's throughput figures as a
-# correctness by-product, not a benchmark).
+stage "kernel-perf smoke (gating neutrality)"
+# The Fig. 3 full-platform instance at reduced workload scale, gated vs
+# --no-gating: the digests must match (a mismatch means some component slept
+# with work pending).  Both runs' throughput is recorded in BENCH_kernel.json,
+# schema mpsoc-bench-kernel-v3 (note: sanitizer build on whatever cores this
+# host has — the committed repo-root BENCH_kernel.json is measured on a
+# Release build; treat the smoke's throughput figures as a correctness
+# by-product, not a benchmark).
 mkdir -p "$BUILD/kernel-smoke"
 cat > "$BUILD/kernel-smoke/fig3-small.scn" <<EOF
 name = fig3-small
@@ -137,7 +125,6 @@ memory = onchip
 wait_states = 1
 workload_scale = 0.25
 EOF
-KERNEL_OK=1
 if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/kernel-smoke/gated.json" \
       "$BUILD/kernel-smoke/fig3-small.scn" > /dev/null && \
    "$BUILD/tools/mpsoc_run" --sweep --no-gating \
@@ -149,205 +136,104 @@ if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/kernel-smoke/gated.json" \
     echo "kernel smoke: gated and ungated digests differ (activity gating"
     echo "must be behaviour-neutral; a component slept with work pending)"
     diff <(echo "$DG") <(echo "$DU")
-    KERNEL_OK=0
+    FAILED=1
   else
     echo "kernel smoke: digests identical with activity gating on and off"
-  fi
-else
-  echo "kernel smoke: mpsoc_run failed"
-  KERNEL_OK=0
-fi
-THREAD_ROWS=""
-if [ "$KERNEL_OK" -eq 1 ]; then
-  for T in 1 2 4; do
-    if ! "$BUILD/tools/mpsoc_run" --sweep --kernel-threads "$T" \
-          --json "$BUILD/kernel-smoke/t$T.json" \
-          "$BUILD/kernel-smoke/fig3-small.scn" > /dev/null; then
-      echo "kernel smoke: mpsoc_run --kernel-threads $T failed"
-      KERNEL_OK=0
-      break
-    fi
-    DT="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/kernel-smoke/t$T.json")"
-    ET="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
-          "$BUILD/kernel-smoke/t$T.json" | head -1 | sed 's/.*: //')"
-    if [ "$DT" != "$DG" ]; then
-      echo "kernel smoke: --kernel-threads $T digest differs from serial"
-      echo "(sharded evaluate must be bit-identical; a lane raced or the"
-      echo "commit order changed)"
-      diff <(echo "$DG") <(echo "$DT")
-      KERNEL_OK=0
-      break
-    fi
-    echo "kernel smoke: threads=$T digest ok, ${ET:-0} edges/s"
-    [ -n "$THREAD_ROWS" ] && THREAD_ROWS="$THREAD_ROWS,"
-    THREAD_ROWS="$THREAD_ROWS
-    { \"threads\": $T, \"edges_per_s\": ${ET:-0} }"
-  done
-fi
-if [ "$KERNEL_OK" -eq 1 ]; then
-  EG="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
-        "$BUILD/kernel-smoke/gated.json" | head -1 | sed 's/.*: //')"
-  EU="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
-        "$BUILD/kernel-smoke/ungated.json" | head -1 | sed 's/.*: //')"
-  cat > "$BUILD/BENCH_kernel.json" <<EOF
+    EG="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
+          "$BUILD/kernel-smoke/gated.json" | head -1 | sed 's/.*: //')"
+    EU="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
+          "$BUILD/kernel-smoke/ungated.json" | head -1 | sed 's/.*: //')"
+    cat > "$BUILD/BENCH_kernel.json" <<EOF
 {
-  "schema": "mpsoc-bench-kernel-v2",
+  "schema": "mpsoc-bench-kernel-v3",
   "build": "sanitizer-smoke",
   "hw_threads": $(nproc 2>/dev/null || echo 1),
   "scenario": "fig3-small (full-stbus, onchip, workload_scale 0.25)",
   "digest": ${DG#*: },
   "gated_edges_per_s": ${EG:-0},
-  "ungated_edges_per_s": ${EU:-0},
-  "kernel_threads": [$THREAD_ROWS
-  ]
+  "ungated_edges_per_s": ${EU:-0}
 }
 EOF
-  echo "wrote $BUILD/BENCH_kernel.json"
+    echo "wrote $BUILD/BENCH_kernel.json"
+  fi
 else
+  echo "kernel smoke: mpsoc_run failed"
   FAILED=1
 fi
 
-stage "racecheck matrix (lane-ownership checker at --kernel-threads 1/2/4)"
-# The deterministic lane-ownership checker (MPSOC_RACECHECK) over every
-# shipped scenario with the protocol monitors attached: any cross-lane
-# evaluate-phase access fails the run — at --kernel-threads 1 just as well
-# as on a real pool, because ownership is checked against the shard plan,
-# not the schedule.  Digests must be bit-identical to the unchecked sweep
-# (the checker only observes; it must never perturb).
-RC_OK=1
-mkdir -p "$BUILD/racecheck-smoke"
-if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/racecheck-smoke/base.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  DB="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/racecheck-smoke/base.json")"
-else
-  echo "racecheck matrix: unchecked baseline run failed"
-  RC_OK=0
-fi
-if [ "$RC_OK" -eq 1 ]; then
-  for T in 1 2 4; do
-    if ! "$BUILD/tools/mpsoc_run" --verify --racecheck --kernel-threads "$T" \
-          --sweep --json "$BUILD/racecheck-smoke/t$T.json" \
-          "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-      echo "racecheck matrix: violation or failure at --kernel-threads $T"
-      RC_OK=0
-      break
-    fi
-    DR="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/racecheck-smoke/t$T.json")"
-    if [ -z "$DR" ] || [ "$DR" != "$DB" ]; then
-      echo "racecheck matrix: digests differ from the unchecked run at"
-      echo "threads=$T (the checker must be observation-only)"
-      diff <(echo "$DB") <(echo "$DR")
-      RC_OK=0
-      break
-    fi
-    echo "racecheck matrix: threads=$T clean, digests identical"
-  done
-fi
-[ "$RC_OK" -eq 1 ] || FAILED=1
-
-stage "statecheck matrix (checkpoint-equivalence oracle at --kernel-threads 1/2/4)"
+stage "statecheck matrix (checkpoint-equivalence oracle)"
 # The MPSOC_STATECHECK oracle over every shipped scenario, fully monitored:
 # each run checkpoints at 1 us, executes a window of edges, rewinds and
 # re-executes; any diverging state digest (an incomplete SIM_STATE manifest,
 # or an evaluate() depending on un-checkpointed state) aborts the run.  The
 # oracle replays a window mid-run, so the final results must still match the
 # unchecked baseline digests bit-for-bit.
-SC_OK=1
 mkdir -p "$BUILD/statecheck-smoke"
-if [ -f "$BUILD/racecheck-smoke/base.json" ]; then
-  SB="$DB"  # reuse the unchecked baseline the racecheck stage computed
-elif "$BUILD/tools/mpsoc_run" --sweep \
+if ! "$BUILD/tools/mpsoc_run" --sweep \
       --json "$BUILD/statecheck-smoke/base.json" \
       "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  SB="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/statecheck-smoke/base.json")"
-else
   echo "statecheck matrix: unchecked baseline run failed"
-  SC_OK=0
+  FAILED=1
+elif ! "$BUILD/tools/mpsoc_run" --verify --statecheck --sweep \
+      --json "$BUILD/statecheck-smoke/checked.json" \
+      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
+  echo "statecheck matrix: divergence or failure"
+  FAILED=1
+else
+  SB="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/statecheck-smoke/base.json")"
+  DS="$(grep -o '"digest": "[0-9a-f]*"' \
+        "$BUILD/statecheck-smoke/checked.json")"
+  if [ -z "$DS" ] || [ "$DS" != "$SB" ]; then
+    echo "statecheck matrix: digests differ from the unchecked run (the"
+    echo "oracle's rewind must be invisible to results)"
+    diff <(echo "$SB") <(echo "$DS")
+    FAILED=1
+  else
+    echo "statecheck matrix: oracle green, digests identical"
+  fi
 fi
-if [ "$SC_OK" -eq 1 ]; then
-  for T in 1 2 4; do
-    if ! "$BUILD/tools/mpsoc_run" --verify --statecheck --kernel-threads "$T" \
-          --sweep --json "$BUILD/statecheck-smoke/t$T.json" \
-          "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-      echo "statecheck matrix: divergence or failure at --kernel-threads $T"
-      SC_OK=0
-      break
-    fi
-    DS="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/statecheck-smoke/t$T.json")"
-    if [ -z "$DS" ] || [ "$DS" != "$SB" ]; then
-      echo "statecheck matrix: digests differ from the unchecked run at"
-      echo "threads=$T (the oracle's rewind must be invisible to results)"
-      diff <(echo "$SB") <(echo "$DS")
-      SC_OK=0
-      break
-    fi
-    echo "statecheck matrix: threads=$T oracle green, digests identical"
-  done
-fi
-[ "$SC_OK" -eq 1 ] || FAILED=1
 
-stage "fast-forward matrix (LT handoff digest gate + warm-up speedup)"
+stage "fast-forward matrix (LT handoff oracle + warm-up speedup)"
 # The loosely-timed quantum engine over every shipped scenario: [0, 100 us)
 # fast-forwarded, then the checkpoint/restore handoff, the in-run
 # handoff-equivalence oracle (--ff-check: step a window from the handoff,
-# digest, rewind, re-step, compare) and the accurate remainder.  LT
-# statistics never enter the canonical digest and commit stays serial in
-# slot order, so the digests must be bit-identical at --kernel-threads 1, 2
-# and 4.  The protocol monitors stay off here: the LT warm-up legitimately
-# bypasses the cycle-accurate buses they watch (ctest and the stages above
-# cover the monitored paths).  The warm-up cost harness then writes
-# BENCH_ff.json; the speedup on the warm-up region gates at >= 5x (the
-# sanitizer build inflates both sides of the ratio roughly equally).
-FF_OK=1
+# digest, rewind, re-step, compare) and the accurate remainder.  The
+# protocol monitors stay off here: the LT warm-up legitimately bypasses the
+# cycle-accurate buses they watch (ctest and the stages above cover the
+# monitored paths).  The warm-up cost harness then writes BENCH_ff.json; the
+# speedup on the warm-up region gates at >= 5x (the sanitizer build inflates
+# both sides of the ratio roughly equally).
 mkdir -p "$BUILD/ff-smoke"
-FF_REF=""
-for T in 1 2 4; do
-  if ! "$BUILD/tools/mpsoc_run" --ff-check \
-        --fast-forward-until 100000000 --kernel-threads "$T" \
-        --sweep --json "$BUILD/ff-smoke/t$T.json" \
-        "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-    echo "ff matrix: handoff-oracle or run failure at --kernel-threads $T"
-    FF_OK=0
-    break
-  fi
-  DF="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/ff-smoke/t$T.json")"
-  if [ -z "$FF_REF" ]; then
-    FF_REF="$DF"
-  elif [ "$DF" != "$FF_REF" ]; then
-    echo "ff matrix: digests differ from the serial FF run at threads=$T"
-    echo "(the LT handoff must be bit-exact whatever the thread count)"
-    diff <(echo "$FF_REF") <(echo "$DF")
-    FF_OK=0
-    break
-  fi
-  echo "ff matrix: threads=$T handoff oracle green, digests identical"
-done
-if [ "$FF_OK" -eq 1 ]; then
-  if "$BUILD/bench/bench_ff_warmup" --json "$BUILD/BENCH_ff.json" \
-        > /dev/null; then
-    SPEEDUP="$(grep -o '"speedup": [0-9.e+-]*' "$BUILD/BENCH_ff.json" | \
-               sed 's/.*: //')"
-    if awk "BEGIN { exit !(${SPEEDUP:-0} >= 5.0) }"; then
-      echo "ff warm-up speedup: ${SPEEDUP}x (gate: >= 5x)"
-      echo "wrote $BUILD/BENCH_ff.json"
-    else
-      echo "ff warm-up speedup: ${SPEEDUP:-0}x is below the 5x gate"
-      FF_OK=0
-    fi
+if ! "$BUILD/tools/mpsoc_run" --ff-check --fast-forward-until 100000000 \
+      --sweep --json "$BUILD/ff-smoke/ff.json" \
+      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
+  echo "ff matrix: handoff-oracle or run failure"
+  FAILED=1
+elif "$BUILD/bench/bench_ff_warmup" --json "$BUILD/BENCH_ff.json" \
+      > /dev/null; then
+  echo "ff matrix: handoff oracle green"
+  SPEEDUP="$(grep -o '"speedup": [0-9.e+-]*' "$BUILD/BENCH_ff.json" | \
+             sed 's/.*: //')"
+  if awk "BEGIN { exit !(${SPEEDUP:-0} >= 5.0) }"; then
+    echo "ff warm-up speedup: ${SPEEDUP}x (gate: >= 5x)"
+    echo "wrote $BUILD/BENCH_ff.json"
   else
-    echo "ff warm-up: bench_ff_warmup failed"
-    FF_OK=0
+    echo "ff warm-up speedup: ${SPEEDUP:-0}x is below the 5x gate"
+    FAILED=1
   fi
+else
+  echo "ff warm-up: bench_ff_warmup failed"
+  FAILED=1
 fi
-[ "$FF_OK" -eq 1 ] || FAILED=1
 
-stage "fuzz smoke (seeded campaign, 50 cases at --threads 1,2)"
+stage "fuzz smoke (seeded campaign, 50 cases)"
 # Bounded deterministic fuzz campaign: a fixed seed, so a failure here is a
 # regression, never noise.  Two --emit passes must print byte-identical
 # scenario sets (generator determinism); the campaign itself runs every case
-# fully monitored at kernel-threads 1 and 2, gating on monitor violations,
-# invariant trips and cross-thread digest divergence, and delta-debugs any
-# failure down to a minimal reproducer under $BUILD/fuzz-smoke/corpus.
+# fully monitored with activity gating on and off, gating on monitor
+# violations, invariant trips and gated/ungated digest divergence, and
+# delta-debugs any failure down to a minimal reproducer under
+# $BUILD/fuzz-smoke/corpus.
 FZ_OK=1
 mkdir -p "$BUILD/fuzz-smoke"
 if ! "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 --emit \
@@ -363,7 +249,7 @@ elif ! diff "$BUILD/fuzz-smoke/emit1.txt" "$BUILD/fuzz-smoke/emit2.txt" \
   FZ_OK=0
 fi
 if [ "$FZ_OK" -eq 1 ]; then
-  if "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 --threads 1,2 \
+  if "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 \
         --corpus-dir "$BUILD/fuzz-smoke/corpus"; then
     echo "fuzz smoke: 50 cases clean"
   else
@@ -373,40 +259,6 @@ if [ "$FZ_OK" -eq 1 ]; then
   fi
 fi
 [ "$FZ_OK" -eq 1 ] || FAILED=1
-
-stage "tsan matrix (sharded kernel, all scenarios at --kernel-threads 2/4)"
-# ThreadSanitizer build in its own tree (tsan and asan cannot share one);
-# the monitored runs drive every concurrency structure of the sharded
-# evaluate phase — worker-pool handoff, per-lane commit buffers, atomic
-# sleep/wake, the tap mutex and the auditor ledger — across the full
-# scenario matrix, both lane-assignment regimes included.
-TSAN_BUILD="$BUILD-tsan"
-if cmake -B "$TSAN_BUILD" -S "$ROOT" -DMPSOC_SANITIZE=thread \
-        -DMPSOC_VERIFY=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null; then
-  if cmake --build "$TSAN_BUILD" -j "$JOBS" --target mpsoc_run \
-        > "$TSAN_BUILD/build.log" 2>&1; then
-    for T in 2 4; do
-      for SCN in "$ROOT"/tools/scenarios/*.scn; do
-        if TSAN_OPTIONS=halt_on_error=1 \
-           "$TSAN_BUILD/tools/mpsoc_run" --verify --kernel-threads "$T" \
-              "$SCN" > /dev/null; then
-          echo "tsan matrix: $(basename "$SCN") clean at --kernel-threads $T"
-        else
-          echo "tsan matrix: data race or failure in $(basename "$SCN")" \
-               "at --kernel-threads $T"
-          FAILED=1
-        fi
-      done
-    done
-  else
-    echo "tsan matrix: build failed (tail of log):"
-    tail -20 "$TSAN_BUILD/build.log"
-    FAILED=1
-  fi
-else
-  echo "tsan matrix: configure failed"
-  FAILED=1
-fi
 
 stage "clang-format --dry-run"
 # tests/lint/ holds deliberately-bad lint fixtures; they are not part of the
