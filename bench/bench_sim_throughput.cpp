@@ -7,10 +7,10 @@
 //
 // The *Monitored variants run the same workloads with the protocol monitors
 // and the conservation auditor attached; comparing them against the plain
-// variants quantifies the cost of verification.  In a build with
-// -DMPSOC_VERIFY=OFF the monitors compile out entirely and the monitored
-// variants must sit within measurement noise of the plain ones — that is the
-// zero-cost-when-disabled claim, checked by numbers rather than asserted.
+// variants quantifies the cost of an attached monitor set.  The monitor hooks
+// are always compiled; with nothing attached they cost one empty-vector or
+// null-pointer test each, which a best-of-15 comparison against a build
+// without them could not tell apart from run-to-run noise.
 
 #include <benchmark/benchmark.h>
 

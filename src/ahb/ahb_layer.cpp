@@ -13,7 +13,6 @@ AhbLayer::AhbLayer(sim::ClockDomain& clk, std::string name, AhbLayerConfig cfg)
     : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg), arb_(cfg.arb) {}
 
 void AhbLayer::attachMonitors(verify::VerifyContext& ctx) {
-#if MPSOC_VERIFY
   auto ledger = std::make_shared<verify::SharedLedger>();
   ledger->cap = 1;  // no split transactions: one non-posted owner at a time
   for (std::size_t i = 0; i < initiators_.size(); ++i) {
@@ -24,9 +23,6 @@ void AhbLayer::attachMonitors(verify::VerifyContext& ctx) {
     ctx.add<verify::InitiatorMonitor>(name_ + ".mon.i" + std::to_string(i),
                                       &clk_, *initiators_[i], rules);
   }
-#else
-  (void)ctx;
-#endif
 }
 
 void AhbLayer::evaluate() {

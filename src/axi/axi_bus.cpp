@@ -15,7 +15,6 @@ AxiBus::AxiBus(sim::ClockDomain& clk, std::string name, AxiBusConfig cfg)
     : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg) {}
 
 void AxiBus::attachMonitors(verify::VerifyContext& ctx) {
-#if MPSOC_VERIFY
   verify::InitiatorRules rules;
   rules.in_order = false;  // transaction IDs allow out-of-order completion
   rules.max_outstanding = cfg_.max_outstanding_per_initiator;
@@ -23,9 +22,6 @@ void AxiBus::attachMonitors(verify::VerifyContext& ctx) {
     ctx.add<verify::InitiatorMonitor>(name_ + ".mon.i" + std::to_string(i),
                                       &clk_, *initiators_[i], rules);
   }
-#else
-  (void)ctx;
-#endif
 }
 
 void AxiBus::finalize() {

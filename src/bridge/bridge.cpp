@@ -186,12 +186,8 @@ Bridge::Bridge(sim::ClockDomain& clk_a, sim::ClockDomain& clk_b,
 Bridge::~Bridge() = default;
 
 void Bridge::attachMonitors(verify::VerifyContext& ctx) {
-#if MPSOC_VERIFY
   ctx.add<verify::BridgeMonitor>(name_ + ".mon", &clk_a_, a_port_, b_port_,
                                  cfg_.width_b_bytes);
-#else
-  (void)ctx;
-#endif
 }
 
 void Bridge::setAuditor(txn::TxnAuditor* auditor) {

@@ -93,7 +93,7 @@ class Bridge : public sim::LtChannel {
   std::uint64_t writesForwarded() const { return writes_fwd_; }
 
   /// Attach the end-to-end fidelity monitor (no loss / duplication /
-  /// corruption across the crossing).  No-op with MPSOC_VERIFY=OFF.
+  /// corruption across the crossing).
   void attachMonitors(verify::VerifyContext& ctx);
   /// Conservation auditing for the side-B clones the master side issues.
   void setAuditor(txn::TxnAuditor* auditor);

@@ -14,7 +14,7 @@
 // portable.
 //
 // Each case is run through core::SweepRunner twice, once with kernel
-// activity gating on and once off, with the compile-gated checkers requested
+// activity gating on and once off, with the checkers requested
 // by FuzzOptions (protocol monitors + auditor, optionally the
 // checkpoint-equivalence oracle).  A case fails when either run throws
 // (InvariantViolation, ProtocolViolation, ...) or when the canonical result

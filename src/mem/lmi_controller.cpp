@@ -21,16 +21,12 @@ LmiController::LmiController(sim::ClockDomain& clk, std::string name,
           clk.period() * std::max(1u, cfg.clock_divider))) {}
 
 void LmiController::attachMonitors(verify::VerifyContext& ctx) {
-#if MPSOC_VERIFY
   ctx.add<verify::TargetMonitor>(name_ + ".mon", &clk_, port_);
   auto& sdram = ctx.add<verify::SdramLegalityMonitor>(
       name_ + ".sdram.mon", &clk_, device_->timing(),
       device_->geometry().banks, device_->clkPeriod());
   device_->setCommandObserver(
       [&sdram](const SdramCommand& c) { sdram.onCommand(c); });
-#else
-  (void)ctx;
-#endif
 }
 
 std::size_t LmiController::selectRequest() const {

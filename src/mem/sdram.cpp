@@ -22,7 +22,6 @@ bool SdramDevice::maybeRefresh(sim::Picos now) {
     if (b.open) start = std::max(start, b.pre_ok);
   }
   const sim::Picos done = start + cycles(timing_.t_rfc);
-#if MPSOC_VERIFY
   if (cmd_obs_) {
     SdramCommand c;
     c.kind = SdramCommand::Kind::Refresh;
@@ -31,7 +30,6 @@ bool SdramDevice::maybeRefresh(sim::Picos now) {
     c.data_end = done;
     cmd_obs_(c);
   }
-#endif
   for (auto& b : banks_) {
     b.open = false;
     b.act_ok = std::max(b.act_ok, done);
@@ -50,7 +48,6 @@ SdramAccess SdramDevice::schedule(std::uint64_t addr, std::uint32_t beats,
   SdramAccess out;
   sim::Picos cas_at;
 
-#if MPSOC_VERIFY
   const auto emit = [&](SdramCommand::Kind kind, sim::Picos at,
                         sim::Picos data_begin = 0, sim::Picos data_end = 0) {
     if (!cmd_obs_) return;
@@ -63,7 +60,6 @@ SdramAccess SdramDevice::schedule(std::uint64_t addr, std::uint32_t beats,
     c.data_end = data_end;
     cmd_obs_(c);
   };
-#endif
 
   if (bank.open && bank.row == row) {
     out.outcome = RowOutcome::Hit;
@@ -74,9 +70,7 @@ SdramAccess SdramDevice::schedule(std::uint64_t addr, std::uint32_t beats,
     ++misses_;
     const sim::Picos act_at = std::max(now, bank.act_ok);
     cas_at = act_at + cycles(timing_.t_rcd);
-#if MPSOC_VERIFY
     emit(SdramCommand::Kind::Activate, act_at);
-#endif
     bank.open = true;
     bank.row = row;
     bank.act_ok = act_at + cycles(timing_.t_rc);
@@ -88,10 +82,8 @@ SdramAccess SdramDevice::schedule(std::uint64_t addr, std::uint32_t beats,
     const sim::Picos act_at =
         std::max(pre_at + cycles(timing_.t_rp), bank.act_ok);
     cas_at = act_at + cycles(timing_.t_rcd);
-#if MPSOC_VERIFY
     emit(SdramCommand::Kind::Precharge, pre_at);
     emit(SdramCommand::Kind::Activate, act_at);
-#endif
     bank.row = row;
     bank.act_ok = act_at + cycles(timing_.t_rc);
     bank.pre_ok = act_at + cycles(timing_.t_ras);
@@ -115,10 +107,8 @@ SdramAccess SdramDevice::schedule(std::uint64_t addr, std::uint32_t beats,
     bank.cas_ok = std::max(bank.cas_ok, out.data_end - duration / 2);
     bank.pre_ok = std::max(bank.pre_ok, out.data_end);
   }
-#if MPSOC_VERIFY
   emit(is_write ? SdramCommand::Kind::Write : SdramCommand::Kind::Read,
        cas_at, out.first_beat, out.data_end);
-#endif
   data_bus_free_ = out.data_end;
   return out;
 }

@@ -19,10 +19,6 @@
 
 #include "sim/time.hpp"
 
-#ifndef MPSOC_VERIFY
-#define MPSOC_VERIFY 0
-#endif
-
 namespace mpsoc::mem {
 
 struct SdramTiming {
@@ -46,7 +42,7 @@ enum class RowOutcome : std::uint8_t { Hit, Miss, Conflict };
 
 /// One implied device command resolved by schedule()/maybeRefresh(), reported
 /// to the optional command observer (consumed by the SDRAM legality monitor
-/// in src/verify).  Emission is compiled out with MPSOC_VERIFY=OFF.
+/// in src/verify).
 struct SdramCommand {
   enum class Kind : std::uint8_t { Activate, Precharge, Read, Write, Refresh };
   Kind kind = Kind::Activate;
@@ -97,8 +93,8 @@ class SdramDevice {
   const SdramGeometry& geometry() const { return geom_; }
   sim::Picos clkPeriod() const { return clk_period_; }
 
-  /// Report every implied device command (with MPSOC_VERIFY=ON only; the
-  /// emission sites are compiled out otherwise and the observer never fires).
+  /// Report every implied device command to `obs` (unset by default, when
+  /// emission is a null test).
   void setCommandObserver(SdramCommandObserver obs) {
     cmd_obs_ = std::move(obs);
   }

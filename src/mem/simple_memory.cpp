@@ -18,11 +18,7 @@ SimpleMemory::SimpleMemory(sim::ClockDomain& clk, std::string name,
 }
 
 void SimpleMemory::attachMonitors(verify::VerifyContext& ctx) {
-#if MPSOC_VERIFY
   ctx.add<verify::TargetMonitor>(name_ + ".mon", &clk_, port_);
-#else
-  (void)ctx;
-#endif
 }
 
 void SimpleMemory::evaluate() {

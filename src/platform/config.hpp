@@ -122,8 +122,7 @@ struct PlatformConfig {
   /// Attach the protocol monitors and the transaction-conservation auditor
   /// (src/verify) to every bus, bridge and memory in the platform.  Any
   /// protocol violation aborts the run with a ProtocolViolation; leaks are
-  /// reported at the end of the run.  Requires MPSOC_VERIFY=ON to observe
-  /// anything (with it OFF this flag only creates an empty context).
+  /// reported at the end of the run.
   bool verify = false;
 
   /// Checkpoint-equivalence oracle (see DESIGN.md "State manifests &
@@ -131,9 +130,7 @@ struct PlatformConfig {
   /// platform state, executes `statecheck_edges` further edges, digests,
   /// rewinds to the checkpoint, re-executes the same edges and asserts the
   /// two digests are bit-identical — any component with an incomplete
-  /// SIM_STATE manifest diverges deterministically.  Requires
-  /// MPSOC_STATECHECK=ON to observe anything (with it OFF this flag is
-  /// ignored).
+  /// SIM_STATE manifest diverges deterministically.
   bool statecheck = false;
   sim::Picos statecheck_at_ps = 1'000'000;  // 1 us into the run
   std::uint64_t statecheck_edges = 2000;
@@ -156,8 +153,7 @@ struct PlatformConfig {
   /// `ff_check_edges` accurate edges from the handoff checkpoint, digest,
   /// rewind, re-execute and assert bit-identical digests — proving the
   /// accurate region after a fast-forward is a pure function of the handoff
-  /// state.  Unlike `statecheck` this oracle is always compiled in (the
-  /// fast-forward path is exactly where restore bugs surface).
+  /// state (Simulator::replayCheck, like `statecheck`).
   bool ff_check = false;
   std::uint64_t ff_check_edges = 2000;
 

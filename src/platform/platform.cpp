@@ -408,46 +408,6 @@ void Platform::buildDma() {
   }
 }
 
-void Platform::statecheckOracle() {
-#if MPSOC_STATECHECK
-  using DigestItems = std::vector<std::pair<std::string, std::uint64_t>>;
-  // Warm up to the checkpoint instant so the window covers a busy platform,
-  // not the cold-start transient.
-  sim_.run(cfg_.statecheck_at_ps);
-  sim_.checkpoint();
-  for (std::uint64_t i = 0; i < cfg_.statecheck_edges && sim_.step(); ++i) {
-  }
-  DigestItems first;
-  sim_.stateDigestItems(first);
-  const sim::Picos first_end = sim_.now();
-
-  sim_.restoreCheckpoint();
-  for (std::uint64_t i = 0; i < cfg_.statecheck_edges && sim_.step(); ++i) {
-  }
-  DigestItems second;
-  sim_.stateDigestItems(second);
-
-  SIM_CHECK(first_end == sim_.now(),
-            "statecheck: replayed window ended at t=" << sim_.now()
-                << " ps, first pass ended at t=" << first_end
-                << " ps (kernel time state not restored)");
-  SIM_CHECK(first.size() == second.size(),
-            "statecheck: digest item count changed across rewind ("
-                << first.size() << " vs " << second.size()
-                << " — state holders registered mid-window?)");
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    SIM_CHECK(first[i].second == second[i].second,
-              "statecheck divergence at t=" << sim_.now() << " ps after "
-                  << cfg_.statecheck_edges << " edges: " << first[i].first
-                  << " digests 0x" << std::hex << first[i].second
-                  << " (first pass) vs 0x" << second[i].second << std::dec
-                  << " (replay) — its SIM_STATE manifest is incomplete or its "
-                     "evaluate() depends on un-checkpointed state");
-  }
-  // The two passes converged; the run continues from the window's end.
-#endif
-}
-
 void Platform::buildFastForward() {
   ff_ = std::make_unique<sim::FastForward>(sim_, cfg_.ff_quantum_ps);
 
@@ -525,47 +485,26 @@ void Platform::fastForward(sim::Picos until) {
   // ff_check oracle validates is the one every fast-forwarded run takes.
   sim_.checkpoint();
   sim_.restoreCheckpoint();
-  if (cfg_.ff_check) ffHandoffOracle();
+  if (cfg_.ff_check) {
+    sim_.replayCheck(cfg_.ff_check_edges, "ff-check",
+                     "the accurate region after a fast-forward handoff is not "
+                     "a pure function of the restored state");
+  }
 }
 
-void Platform::ffHandoffOracle() {
-  using DigestItems = std::vector<std::pair<std::string, std::uint64_t>>;
-  sim_.checkpoint();
-  for (std::uint64_t i = 0; i < cfg_.ff_check_edges && sim_.step(); ++i) {
-  }
-  DigestItems first;
-  sim_.stateDigestItems(first);
-  const sim::Picos first_end = sim_.now();
-
-  sim_.restoreCheckpoint();
-  for (std::uint64_t i = 0; i < cfg_.ff_check_edges && sim_.step(); ++i) {
-  }
-  DigestItems second;
-  sim_.stateDigestItems(second);
-
-  SIM_CHECK(first_end == sim_.now(),
-            "ff-check: replayed post-handoff window ended at t="
-                << sim_.now() << " ps, first pass ended at t=" << first_end
-                << " ps (kernel time state not restored)");
-  SIM_CHECK(first.size() == second.size(),
-            "ff-check: digest item count changed across the handoff rewind ("
-                << first.size() << " vs " << second.size() << ")");
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    SIM_CHECK(first[i].second == second[i].second,
-              "ff-check divergence at t=" << sim_.now() << " ps after "
-                  << cfg_.ff_check_edges << " edges: " << first[i].first
-                  << " digests 0x" << std::hex << first[i].second
-                  << " (first pass) vs 0x" << second[i].second << std::dec
-                  << " (replay) — the accurate region after a fast-forward "
-                     "handoff is not a pure function of the restored state");
-  }
+void Platform::runPrologue(sim::Picos end) {
+  fastForward(std::min(cfg_.ff_until_ps, end));
+  if (!cfg_.statecheck) return;
+  // Warm up to the checkpoint instant so the window covers a busy platform,
+  // not the cold-start transient.
+  sim_.run(cfg_.statecheck_at_ps);
+  sim_.replayCheck(cfg_.statecheck_edges, "statecheck",
+                   "its SIM_STATE manifest is incomplete or its evaluate() "
+                   "depends on un-checkpointed state");
 }
 
 sim::Picos Platform::run(sim::Picos max_ps) {
-  if (cfg_.ff_until_ps > 0) fastForward(std::min(cfg_.ff_until_ps, max_ps));
-#if MPSOC_STATECHECK
-  if (cfg_.statecheck) statecheckOracle();
-#endif
+  runPrologue(max_ps);
   const sim::Picos t = sim_.runUntilIdle(max_ps);
   sim_.finish();
   // Leak audit only when the workload actually finished — a run that hit
@@ -575,14 +514,9 @@ sim::Picos Platform::run(sim::Picos max_ps) {
 }
 
 sim::Picos Platform::runFor(sim::Picos duration_ps) {
-  const sim::Picos start = sim_.now();
-  if (cfg_.ff_until_ps > start) {
-    fastForward(std::min(cfg_.ff_until_ps, start + duration_ps));
-  }
-#if MPSOC_STATECHECK
-  if (cfg_.statecheck) statecheckOracle();
-#endif
-  const sim::Picos t = sim_.run(start + duration_ps);
+  const sim::Picos end = sim_.now() + duration_ps;
+  runPrologue(end);
+  const sim::Picos t = sim_.run(end);
   sim_.finish();
   if (verify_) verify_->finish(/*expect_drained=*/false);
   return t;

@@ -132,26 +132,20 @@ class Platform {
   /// Walk every bus, bridge, memory and master, attaching monitors and the
   /// conservation auditor to `verify_`.  Called once, after construction.
   void attachVerification();
-  /// Checkpoint-equivalence oracle (cfg_.statecheck): advance to
-  /// cfg_.statecheck_at_ps, checkpoint, execute cfg_.statecheck_edges edges
-  /// and digest, rewind, re-execute the same window and digest again; raises
-  /// InvariantViolation naming the first diverging state holder when the two
-  /// digests differ.  The run then continues normally from the end of the
-  /// window.  No-op when MPSOC_STATECHECK is compiled out.
-  void statecheckOracle();
   /// Assemble the loosely-timed engine: one route per master (cluster bus ->
   /// uplink bridge -> central node -> memory path, per topology) with the
   /// memory controller as the shared bottleneck channel.  Called lazily on
   /// the first fast-forward request.
   void buildFastForward();
-  /// Fast-forward to `until` under the LT engine, then hand off to the
-  /// cycle-accurate model through a checkpoint/restore boundary.  Runs the
-  /// ff_check handoff-equivalence oracle when configured.
+  /// Fast-forward to `until` (no-op when not past now) under the LT engine,
+  /// then hand off to the cycle-accurate model through a checkpoint/restore
+  /// boundary.  With cfg_.ff_check, Simulator::replayCheck then asserts the
+  /// first cfg_.ff_check_edges accurate edges replay bit-identically.
   void fastForward(sim::Picos until);
-  /// Handoff-equivalence oracle (cfg_.ff_check): from the handoff state,
-  /// execute cfg_.ff_check_edges edges and digest, rewind, re-execute and
-  /// assert bit-identical digests.  Always compiled in (unlike statecheck).
-  void ffHandoffOracle();
+  /// Start of run()/runFor() up to `end`: fast-forward to cfg_.ff_until_ps,
+  /// then, with cfg_.statecheck, advance to cfg_.statecheck_at_ps and run
+  /// Simulator::replayCheck over cfg_.statecheck_edges edges.
+  void runPrologue(sim::Picos end);
 
   /// NoC topology helpers: the memory's node and the mesh node the i-th
   /// master lands on (round-robin over the non-memory nodes).

@@ -52,9 +52,7 @@
 //
 // Unknown keys are errors (with line numbers), so scenario files stay honest;
 // after the last key the whole config goes through
-// platform::validateConfig(), so a file that parses is also buildable.  Keys
-// that request a compile-gated checker the build removed warn at run time
-// (see platform/feature_gates.hpp).
+// platform::validateConfig(), so a file that parses is also buildable.
 //
 // emitScenario() is the inverse: a canonical full-form rendering (every key,
 // fixed order, round-trip double precision) with the property that

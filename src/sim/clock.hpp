@@ -65,8 +65,8 @@ class Updatable {
   // --- checkpoint hooks (see Simulator::checkpoint) -------------------------
 
   /// Snapshot all committed state so the kernel can restore this updatable to
-  /// the current instant later (MPSOC_STATECHECK oracle; the ROADMAP's
-  /// fast-forward mode).  Distinct from the per-edge staged-state hooks
+  /// the current instant later (statecheck oracle, fast-forward
+  /// handoff).  Distinct from the per-edge staged-state hooks
   /// above: a checkpoint is taken between edges (Phase::Outside) and captures
   /// the registered contents, not the in-edge staging.  Return false (the
   /// default) when unsupported — Simulator::checkpoint() then refuses.

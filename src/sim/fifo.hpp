@@ -44,10 +44,6 @@
 #include "sim/state.hpp"
 #include "sim/time.hpp"
 
-#ifndef MPSOC_VERIFY
-#define MPSOC_VERIFY 0
-#endif
-
 namespace mpsoc::sim {
 
 namespace detail {
@@ -113,9 +109,7 @@ class SyncFifo final : public Updatable {
     checkPhase("push");
     SIM_CHECK_CTX(canPush(), name_, &clk_,
                   "push() on full FIFO (capacity " << capacity_ << ")");
-#if MPSOC_VERIFY
     notifyTaps(push_taps_, v);
-#endif
     clk_.queueCommit(this);
     ring_[rix(committed_n_ + staged_n_)] = std::move(v);
     ++staged_n_;
@@ -147,9 +141,7 @@ class SyncFifo final : public Updatable {
     clk_.queueCommit(this);
     T v = takeAt(pop_count_);
     ++pop_count_;
-#if MPSOC_VERIFY
     notifyTaps(pop_taps_, v);
-#endif
     return v;
   }
 
@@ -177,9 +169,7 @@ class SyncFifo final : public Updatable {
     }
     --committed_n_;
     ++ooo_pops_;
-#if MPSOC_VERIFY
     notifyTaps(pop_taps_, v);
-#endif
     return v;
   }
 
@@ -197,15 +187,12 @@ class SyncFifo final : public Updatable {
   void wakeOnPush(Component* c) { push_wakers_.push_back(c); }
   void wakeOnPop(Component* c) { pop_wakers_.push_back(c); }
 
-#if MPSOC_VERIFY
   /// Payload observation taps for the src/verify protocol monitors: invoked
   /// synchronously for every staged push / pop (in-order and out-of-order),
-  /// in program order, skipping the deep-check replay pass.  Compiled out
-  /// entirely when MPSOC_VERIFY=OFF.
+  /// in program order, skipping the deep-check replay pass.
   using Tap = std::function<void(const T&)>;
   void addPushTap(Tap t) { push_taps_.push_back(std::move(t)); }
   void addPopTap(Tap t) { pop_taps_.push_back(std::move(t)); }
-#endif
 
   void commit() override {
     SIM_CHECK_CTX(clk_.simulator().phase() == Phase::Commit, name_, &clk_,
@@ -368,12 +355,10 @@ class SyncFifo final : public Updatable {
     T value;
   };
 
-#if MPSOC_VERIFY
   void notifyTaps(const std::vector<Tap>& taps, const T& v) const {
     if (taps.empty() || clk_.simulator().inReplay()) return;
     for (const auto& t : taps) t(v);
   }
-#endif
 
   ClockDomain& clk_;
   std::string name_;
@@ -397,10 +382,8 @@ class SyncFifo final : public Updatable {
   void* observer_ctx_ = nullptr;
   std::vector<Component*> push_wakers_;
   std::vector<Component*> pop_wakers_;
-#if MPSOC_VERIFY
   std::vector<Tap> push_taps_;
   std::vector<Tap> pop_taps_;
-#endif
 };
 
 /// Clock-domain-crossing FIFO.  Pushes are staged by the producer domain and

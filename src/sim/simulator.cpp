@@ -243,6 +243,40 @@ void Simulator::restoreCheckpoint() {
   }
 }
 
+void Simulator::replayCheck(std::uint64_t edges, std::string_view label,
+                            std::string_view hint) {
+  using DigestItems = std::vector<std::pair<std::string, std::uint64_t>>;
+  checkpoint();
+  for (std::uint64_t i = 0; i < edges && step(); ++i) {
+  }
+  DigestItems first;
+  stateDigestItems(first);
+  const Picos first_end = now_ps_;
+
+  restoreCheckpoint();
+  for (std::uint64_t i = 0; i < edges && step(); ++i) {
+  }
+  DigestItems second;
+  stateDigestItems(second);
+
+  SIM_CHECK(first_end == now_ps_,
+            label << ": replayed window ended at t=" << now_ps_
+                  << " ps, first pass ended at t=" << first_end
+                  << " ps (kernel time state not restored)");
+  SIM_CHECK(first.size() == second.size(),
+            label << ": digest item count changed across rewind ("
+                  << first.size() << " vs " << second.size()
+                  << " — state holders registered mid-window?)");
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    SIM_CHECK(first[i].second == second[i].second,
+              label << " divergence at t=" << now_ps_ << " ps after " << edges
+                    << " edges: " << first[i].first << " digests 0x"
+                    << std::hex << first[i].second << " (first pass) vs 0x"
+                    << second[i].second << std::dec << " (replay) — "
+                    << hint);
+  }
+}
+
 void Simulator::fastForwardTo(Picos t) {
   SIM_CHECK(phase_ == Phase::Outside,
             "fastForwardTo() is only legal between edges (Phase::Outside)");

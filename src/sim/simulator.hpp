@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -126,7 +127,7 @@ class Simulator {
   };
   const DeepCheckStats& deepCheckStats() const { return deep_stats_; }
 
-  // --- checkpointing (MPSOC_STATECHECK oracle; see DESIGN.md) ---------------
+  // --- checkpointing (replayCheck oracles, fast-forward; see DESIGN.md) -----
 
   /// Register an auxiliary state holder in the checkpoint set.  Must happen
   /// in deterministic (construction) order: the order labels digest items.
@@ -147,6 +148,16 @@ class Simulator {
   /// be unchanged since the checkpoint was taken.
   void restoreCheckpoint();
   bool hasCheckpoint() const { return ckpt_.valid; }
+
+  /// Checkpoint-equivalence oracle: checkpoint now, step `edges` edges and
+  /// digest every state holder, rewind, step the same edges again and digest
+  /// again.  The run continues from the window's end.  Raises
+  /// InvariantViolation, prefixed with `label`, when kernel time, the holder
+  /// count or any holder's digest differs between the passes; a digest
+  /// mismatch names the first diverging holder and appends `hint` (what the
+  /// divergence means to the caller).
+  void replayCheck(std::uint64_t edges, std::string_view label,
+                   std::string_view hint);
 
   /// Jump simulated time to `t` (>= now) without executing the intervening
   /// edges — the kernel half of the loosely-timed fast-forward mode (see

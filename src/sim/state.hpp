@@ -15,7 +15,7 @@
 // `unmanifested-state` closes the loop statically: every trailing-underscore
 // member of a Component subclass must appear in exactly one manifest or
 // exemption, so state-completeness is proved at lint time instead of being
-// discovered as digest drift in the MPSOC_STATECHECK oracle.
+// discovered as digest drift in the statecheck oracle.
 //
 // Exemption policy (enforced by convention + lint, verified by the oracle):
 //   * wiring (references, port/bus pointers, address maps) — established at

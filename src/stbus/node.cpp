@@ -18,7 +18,6 @@ StbusNode::StbusNode(sim::ClockDomain& clk, std::string name,
 }
 
 void StbusNode::attachMonitors(verify::VerifyContext& ctx) {
-#if MPSOC_VERIFY
   verify::InitiatorRules rules;
   rules.in_order = cfg_.type != StbusType::T3;
   rules.max_outstanding = cfg_.max_outstanding_per_initiator;
@@ -26,9 +25,6 @@ void StbusNode::attachMonitors(verify::VerifyContext& ctx) {
     ctx.add<verify::InitiatorMonitor>(name_ + ".mon.i" + std::to_string(i),
                                       &clk_, *initiators_[i], rules);
   }
-#else
-  (void)ctx;
-#endif
 }
 
 void StbusNode::finalize() {

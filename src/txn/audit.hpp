@@ -10,7 +10,7 @@
 //                     transaction retires twice;
 //   no spurious completion — a retirement always matches a live issue.
 //
-// Masters report through the MPSOC_VERIFY-gated hooks in MasterBase::issue()
+// Masters report through the hooks in MasterBase::issue()
 // and MasterBase::collectResponses(); bridges forward their master sides, so
 // re-issued clones are audited as first-class transactions.  The auditor is
 // deliberately dumb — a map of live ids — precisely so it cannot share a bug
@@ -46,7 +46,7 @@ class TxnAuditor {
   /// reconciled.
   void finish(bool expect_drained) const;
 
-  /// Checkpoint hooks (MPSOC_STATECHECK): the rewound timeline re-issues the
+  /// Checkpoint hooks (replayCheck oracles): the rewound timeline re-issues the
   /// same transactions, which the no-duplication books would flag unless the
   /// ledger is wound back with the simulation.
   void saveCheckpoint() {

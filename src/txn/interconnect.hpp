@@ -80,8 +80,7 @@ class InterconnectBase : public sim::Component, public sim::LtChannel {
 
   /// Attach protocol monitors for this engine's initiator-side ports (each
   /// engine knows its own ordering/outstanding rules).  Call after every
-  /// addInitiator()/addTarget().  Overridden by each protocol engine; bodies
-  /// are empty with MPSOC_VERIFY=OFF.
+  /// addInitiator()/addTarget().  Overridden by each protocol engine.
   virtual void attachMonitors(verify::VerifyContext& ctx) { (void)ctx; }
 
  protected:

@@ -33,13 +33,11 @@ void MasterBase::issue(const RequestPtr& req) {
   } else {
     ++retired_;  // posted writes retire at issue
   }
-#if MPSOC_VERIFY
   // Deep-check replay repeats this issue; the auditor's conservation books
   // must only count the forward pass.
   if (auditor_ && !clk_.simulator().inReplay()) {
     auditor_->onIssue(clk_, *req, fire_and_forget);
   }
-#endif
   port_.req.push(req);
 }
 
@@ -50,11 +48,9 @@ void MasterBase::collectResponses() {
                   "response arrived with no outstanding transaction");
     --outstanding_;
     ++retired_;
-#if MPSOC_VERIFY
     if (auditor_ && !clk_.simulator().inReplay()) {
       auditor_->onRetire(clk_, *rsp);
     }
-#endif
     rsp->req->completed_ps = clk_.simulator().now();
     latency_.record(rsp->req->created_ps, rsp->req->completed_ps);
     onResponse(rsp);

@@ -58,8 +58,7 @@ class MasterBase : public sim::Component {
   std::uint64_t ltBytesWritten() const { return lt_bytes_written_; }
 
   /// Report every issue/retire to a transaction-conservation auditor
-  /// (src/txn/audit.hpp).  The hooks compile out with MPSOC_VERIFY=OFF;
-  /// setting an auditor then has no effect.
+  /// (src/txn/audit.hpp).  Unset (the default), the hooks are a null test.
   void setAuditor(TxnAuditor* auditor) { auditor_ = auditor; }
 
  protected:

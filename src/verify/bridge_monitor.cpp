@@ -1,7 +1,5 @@
 #include "verify/bridge_monitor.hpp"
 
-#if MPSOC_VERIFY
-
 #include <algorithm>
 #include <sstream>
 
@@ -137,5 +135,3 @@ void BridgeMonitor::finish(bool expect_drained) const {
 }
 
 }  // namespace mpsoc::verify
-
-#endif  // MPSOC_VERIFY

@@ -27,8 +27,6 @@
 #include "txn/ports.hpp"
 #include "verify/monitor.hpp"
 
-#if MPSOC_VERIFY
-
 namespace mpsoc::verify {
 
 class BridgeMonitor final : public Monitor {
@@ -70,5 +68,3 @@ class BridgeMonitor final : public Monitor {
 };
 
 }  // namespace mpsoc::verify
-
-#endif  // MPSOC_VERIFY

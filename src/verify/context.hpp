@@ -7,10 +7,6 @@
 // finish() at the end of the run.  Monitors raise ProtocolViolation the
 // instant a rule is broken; finish() performs the teardown audits (stuck
 // transactions in monitors, leaks in the auditor).
-//
-// With MPSOC_VERIFY=OFF the class still exists (so platform code needs no
-// #ifdefs) but can hold no monitors and every hook that would feed it has
-// been compiled out — finish() is then a no-op over empty state.
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +32,6 @@ class VerifyContext : public sim::Checkpointable {
   VerifyContext(const VerifyContext&) = delete;
   VerifyContext& operator=(const VerifyContext&) = delete;
 
-#if MPSOC_VERIFY
   /// Construct a monitor in place; the context owns it.  Returns a reference
   /// so callers can wire observers (e.g. the SDRAM command observer).
   template <class M, class... Args>
@@ -46,7 +41,6 @@ class VerifyContext : public sim::Checkpointable {
     monitors_.push_back(std::move(m));
     return ref;
   }
-#endif
 
   /// Conservation auditor masters report issue/retire to.
   txn::TxnAuditor& auditor() { return auditor_; }

@@ -5,20 +5,16 @@
 // raises ProtocolViolation the moment a protocol rule is broken — the
 // simulation equivalent of a bound SystemVerilog assertion module.
 //
-// Cost model: with MPSOC_VERIFY=OFF the FIFO taps and every hook compile out
-// and a monitor can never be attached, so release binaries carry zero
-// overhead.  With MPSOC_VERIFY=ON attachment is still opt-in per platform /
-// rig (`verify` config flags), so the default-ON build only pays when a test
-// asks for checking.
+// Cost model: the taps and hooks are always compiled; attachment is opt-in per
+// platform / rig (`verify` config flags).  With nothing attached each hook is
+// one empty-vector or null-pointer test, which a best-of-N measurement could
+// not tell apart from run-to-run noise; an attached monitor set costs what
+// bench_sim_throughput's *Monitored variants report.
 
 #include <cstdint>
 #include <string>
 
 #include "sim/check.hpp"
-
-#ifndef MPSOC_VERIFY
-#define MPSOC_VERIFY 0
-#endif
 
 namespace mpsoc::verify {
 
@@ -52,8 +48,8 @@ class Monitor {
   /// it as a leak; bounded runs pass false.
   virtual void finish(bool expect_drained) const { (void)expect_drained; }
 
-  /// Checkpoint hooks (the MPSOC_STATECHECK oracle rewinds the simulation to
-  /// an earlier instant and re-runs it): monitors live outside the component
+  /// Checkpoint hooks (the replayCheck oracles rewind the simulation to
+  /// an earlier instant and re-run it): monitors live outside the component
   /// graph but track in-flight traffic, so a restore must wind their books
   /// back too or the replayed timeline false-positives against stale state.
   /// Overrides must chain the base hooks (events_ lives here).

@@ -1,7 +1,5 @@
 #include "verify/port_monitor.hpp"
 
-#if MPSOC_VERIFY
-
 #include <algorithm>
 #include <sstream>
 
@@ -226,5 +224,3 @@ void TargetMonitor::finish(bool expect_drained) const {
 }
 
 }  // namespace mpsoc::verify
-
-#endif  // MPSOC_VERIFY

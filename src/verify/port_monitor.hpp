@@ -31,8 +31,6 @@
 #include "txn/ports.hpp"
 #include "verify/monitor.hpp"
 
-#if MPSOC_VERIFY
-
 namespace mpsoc::verify {
 
 /// Outstanding budget shared by every initiator of one layer.  Models the
@@ -123,5 +121,3 @@ class TargetMonitor final : public Monitor {
 };
 
 }  // namespace mpsoc::verify
-
-#endif  // MPSOC_VERIFY

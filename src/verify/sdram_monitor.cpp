@@ -1,7 +1,5 @@
 #include "verify/sdram_monitor.hpp"
 
-#if MPSOC_VERIFY
-
 #include <sstream>
 
 namespace mpsoc::verify {
@@ -151,5 +149,3 @@ void SdramLegalityMonitor::onCommand(const mem::SdramCommand& c) {
 }
 
 }  // namespace mpsoc::verify
-
-#endif  // MPSOC_VERIFY

@@ -23,8 +23,6 @@
 #include "mem/sdram.hpp"
 #include "verify/monitor.hpp"
 
-#if MPSOC_VERIFY
-
 namespace mpsoc::verify {
 
 class SdramLegalityMonitor final : public Monitor {
@@ -82,5 +80,3 @@ class SdramLegalityMonitor final : public Monitor {
 };
 
 }  // namespace mpsoc::verify
-
-#endif  // MPSOC_VERIFY

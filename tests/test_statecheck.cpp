@@ -1,5 +1,5 @@
-// Tests for state manifests, kernel checkpointing and the MPSOC_STATECHECK
-// checkpoint-equivalence oracle (sim/state.hpp, platform/platform.cpp).
+// Tests for state manifests, kernel checkpointing and the checkpoint-
+// equivalence oracle Simulator::replayCheck (sim/state.hpp, sim/simulator.cpp).
 //
 // The contract: Simulator::checkpoint() snapshots every component (via its
 // generated SIM_STATE saveState()), every registered Updatable (the FIFO
@@ -29,8 +29,6 @@ namespace {
 
 using namespace mpsoc;
 
-using DigestItems = std::vector<std::pair<std::string, std::uint64_t>>;
-
 platform::PlatformConfig fig3Small() {
   platform::PlatformConfig cfg;
   cfg.protocol = platform::Protocol::Stbus;
@@ -42,8 +40,7 @@ platform::PlatformConfig fig3Small() {
 }
 
 // Enabling the oracle must not perturb results: digests match the unchecked
-// run bit-for-bit.  (When the build has MPSOC_STATECHECK=OFF the flag is a
-// no-op and this still holds.)
+// run bit-for-bit.
 TEST(StateCheck, OracleFlagDoesNotPerturbResults) {
   platform::PlatformConfig cfg = fig3Small();
   const std::uint64_t plain =
@@ -55,8 +52,7 @@ TEST(StateCheck, OracleFlagDoesNotPerturbResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel checkpoint primitives (always compiled; the MPSOC_STATECHECK option
-// only gates the platform-level oracle).
+// Kernel checkpoint primitives.
 // ---------------------------------------------------------------------------
 
 // A SyncFifo's ring, occupancy registration and in-flight staged ops are part
@@ -106,7 +102,8 @@ TEST(StateCheck, FifoCheckpointRoundTripReplaysIdenticalStream) {
 }
 
 // Checkpoint equivalence holds for a well-manifested component: the window
-// digests are bit-identical between the first pass and the replay.
+// digests are bit-identical between the first pass and the replay, so the
+// oracle stays silent.
 TEST(StateCheck, ManifestedComponentReplaysBitIdentically) {
   struct Counter : sim::Component {
     std::uint64_t acc_ = 0;
@@ -122,17 +119,7 @@ TEST(StateCheck, ManifestedComponentReplaysBitIdentically) {
   auto& clk = s.addClockDomain("clk", 100.0);
   Counter cnt(clk, "counter");
   s.run(100'000);
-  s.checkpoint();
-  for (int i = 0; i < 200 && s.step(); ++i) {
-  }
-  DigestItems first;
-  s.stateDigestItems(first);
-  s.restoreCheckpoint();
-  for (int i = 0; i < 200 && s.step(); ++i) {
-  }
-  DigestItems second;
-  s.stateDigestItems(second);
-  EXPECT_EQ(first, second);
+  EXPECT_NO_THROW(s.replayCheck(200, "statecheck", "test"));
 }
 
 // ---------------------------------------------------------------------------
@@ -143,13 +130,8 @@ TEST(StateCheck, ManifestedComponentReplaysBitIdentically) {
 // A component whose evaluate() depends on a member its manifest omits.
 // restoreCheckpoint() rewinds acc_ but not hidden_, so the replayed window
 // accumulates different values and the component's own digest item diverges.
-struct LeakyRun {
-  DigestItems first;
-  DigestItems second;
-  std::string divergent;  // label of the first diverging digest item
-};
-
-LeakyRun runLeakyRig() {
+// Returns the oracle's report (empty when it did not throw).
+std::string runLeakyRig() {
   struct Leaky : sim::Component {
     std::uint64_t acc_ = 0;
     std::uint64_t hidden_ = 0;  // deliberately missing from the manifest
@@ -157,45 +139,35 @@ LeakyRun runLeakyRig() {
     void evaluate() override { acc_ += ++hidden_; }
     SIM_STATE_MEMBERS(acc_);
   };
-  LeakyRun out;
   sim::Simulator s;
   auto& clk = s.addClockDomain("clk", 100.0);
   Leaky bad(clk, "leaky");
   s.run(100'000);
-  s.checkpoint();
-  for (int i = 0; i < 100 && s.step(); ++i) {
+  try {
+    s.replayCheck(100, "statecheck", "planted leak");
+  } catch (const sim::InvariantViolation& e) {
+    return e.what();
   }
-  s.stateDigestItems(out.first);
-  s.restoreCheckpoint();
-  for (int i = 0; i < 100 && s.step(); ++i) {
-  }
-  s.stateDigestItems(out.second);
-  for (std::size_t i = 0; i < out.first.size(); ++i) {
-    if (out.first[i].second != out.second[i].second) {
-      out.divergent = out.first[i].first;
-      break;
-    }
-  }
-  return out;
+  return {};
 }
 
 TEST(StateCheck, PlantedUnmanifestedMemberDivergesAndIsAttributed) {
-  const LeakyRun run = runLeakyRig();
-  ASSERT_EQ(run.first.size(), run.second.size());
-  ASSERT_FALSE(run.divergent.empty())
+  const std::string report = runLeakyRig();
+  ASSERT_FALSE(report.empty())
       << "replayed window matched despite the unmanifested member";
   // The first diverging item names the guilty component, not some innocent
   // downstream holder: that attribution is what makes the oracle's report
-  // actionable.
-  EXPECT_EQ(run.divergent, "clk:leaky");
+  // actionable.  The label and hint say which oracle tripped and why.
+  EXPECT_NE(report.find("statecheck divergence"), std::string::npos) << report;
+  EXPECT_NE(report.find("edges: clk:leaky digests"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("planted leak"), std::string::npos) << report;
 }
 
 TEST(StateCheck, PlantedDivergenceReportIsDeterministic) {
-  const LeakyRun a = runLeakyRig();
-  const LeakyRun b = runLeakyRig();
-  EXPECT_EQ(a.divergent, b.divergent);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  const std::string first = runLeakyRig();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, runLeakyRig());
 }
 
 // ---------------------------------------------------------------------------
@@ -223,8 +195,6 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
       << " edges not replayable: some component or FIFO payload lost its "
          "snapshot support";
 }
-
-#if MPSOC_STATECHECK
 
 // ---------------------------------------------------------------------------
 // The platform-level oracle: checkpoint mid-run, execute a window, rewind,
@@ -254,7 +224,5 @@ TEST(StateCheck, LmiPlatformOracleGreen) {
   platform::Platform p(cfg);
   EXPECT_NO_THROW(p.run());
 }
-
-#endif  // MPSOC_STATECHECK
 
 }  // namespace

@@ -32,11 +32,9 @@
 #include "verify/context.hpp"
 #include "verify/monitor.hpp"
 
-#if MPSOC_VERIFY
 #include "verify/bridge_monitor.hpp"
 #include "verify/port_monitor.hpp"
 #include "verify/sdram_monitor.hpp"
-#endif
 
 namespace {
 
@@ -76,8 +74,6 @@ struct Script final : sim::Component {
       : sim::Component(c, "script"), fn(std::move(f)) {}
   void evaluate() override { fn(now()); }
 };
-
-#if MPSOC_VERIFY
 
 // ---------------------------------------------------------------------------
 // InitiatorMonitor
@@ -723,11 +719,8 @@ TEST(VerifyContext, AggregatesMonitorsAndEvents) {
   EXPECT_NO_THROW(ctx.finish(/*expect_drained=*/true));
 }
 
-#endif  // MPSOC_VERIFY
-
 // ---------------------------------------------------------------------------
-// Transaction-conservation auditor (always compiled: the auditor itself is
-// not gated, only the master-side reporting hooks are)
+// Transaction-conservation auditor
 
 TEST(TxnAuditor, DuplicateIssueThrows) {
   sim::Simulator s;
@@ -804,14 +797,12 @@ TEST_P(MonitoredRig, RunsCleanUnderFullMonitoring) {
   EXPECT_GT(rig.run(), 0u);  // run() performs the teardown audits
   EXPECT_TRUE(rig.allDone());
   ASSERT_NE(rig.verifyContext(), nullptr);
-#if MPSOC_VERIFY
   EXPECT_GT(rig.verifyContext()->monitorCount(), 0u);
   EXPECT_GT(rig.verifyContext()->eventsObserved(), 0u);
   const auto& aud = rig.verifyContext()->auditor();
   EXPECT_GT(aud.issued(), 0u);
   EXPECT_EQ(aud.issued(), aud.retired());
   EXPECT_EQ(aud.inFlight(), 0u);
-#endif
 }
 
 std::string rigName(const ::testing::TestParamInfo<core::RigProtocol>& info) {

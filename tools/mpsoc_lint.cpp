@@ -53,7 +53,7 @@
 //                       SIM_STATE_MEMBERS_WITH_BASE) or carry a
 //                       SIM_STATE_EXEMPT(member, "why") — otherwise
 //                       deep-check replay rolls the edge back without it and
-//                       the MPSOC_STATECHECK checkpoint oracle silently
+//                       the statecheck checkpoint oracle silently
 //                       diverges (sim/state.hpp).  Reference and
 //                       leading-const members are auto-exempt (wiring and
 //                       immutable configuration).  Dotted entries
@@ -152,7 +152,7 @@ constexpr RuleInfo kRules[] = {
      "simulations (core/sweep.hpp)"},
     {"unmanifested-state",
      "Component member missing from its SIM_STATE manifest: deep-check "
-     "replay and the MPSOC_STATECHECK oracle cannot restore it "
+     "replay and the statecheck oracle cannot restore it "
      "(sim/state.hpp)"},
     {"lt-equiv-tag",
      "loosely-timed fast-forward hooks must cite their LT-EQUIV: equivalence "
@@ -592,7 +592,7 @@ class FileLinter {
                  preview +
                  ") but no SIM_STATE manifest; declare SIM_STATE_MEMBERS / "
                  "SIM_STATE_EXEMPT / SIM_STATE_NONE (sim/state.hpp) so "
-                 "deep-check replay and the MPSOC_STATECHECK oracle can "
+                 "deep-check replay and the statecheck oracle can "
                  "save and restore it");
       return;
     }
@@ -622,7 +622,7 @@ class FileLinter {
       report(line, "unmanifested-state",
              "member '" + name + "' of '" + cs.name +
                  "' is in no SIM_STATE manifest; deep-check replay and the "
-                 "MPSOC_STATECHECK oracle cannot restore it — add it to "
+                 "statecheck oracle cannot restore it — add it to "
                  "SIM_STATE_MEMBERS or document the exemption with "
                  "SIM_STATE_EXEMPT(" +
                  name + ", \"why\")");

@@ -6,16 +6,15 @@
 //   --json <path>   write the sweep outcome (per-point digest, wall-clock,
 //                   simulation throughput, full metrics) as JSON; `-` writes
 //                   to stdout.  This is the BENCH_sweep.json schema.
-//   --normalize N   normalise execution times to scenario index N (default 0)
+//   --normalize N   normalise execution times to scenario index N (default 0;
+//                   must name one of the given scenarios)
 //   --verify        attach the protocol monitors and transaction auditor
 //                   (src/verify) to every platform; a violation aborts with
 //                   exit code 1
 //   --statecheck    run the checkpoint-equivalence oracle on every platform:
 //                   checkpoint mid-run, execute a window of edges, rewind,
 //                   re-execute, and abort with exit code 1 naming the first
-//                   diverging state holder if the digests differ (requires a
-//                   build with MPSOC_STATECHECK=ON; warns and runs unchecked
-//                   otherwise)
+//                   diverging state holder if the digests differ
 //   --checkpoint-at <ps>
 //                   instant the statecheck oracle checkpoints at (default
 //                   1000000 = 1 us).  0 or an instant at/past the scenario's
@@ -49,16 +48,22 @@
 // platform/scenario_parser.hpp for the format; tools/scenarios/ ships the
 // paper's Fig. 3 instances).  All scenarios share the reference workload, so
 // their execution times are directly comparable.
+//
+// Numeric values are non-negative decimal integers; anything else (a sign,
+// trailing text, overflow) is rejected with exit code 2 and an `error:` line
+// naming the flag.
 
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "core/digest.hpp"
 #include "core/export.hpp"
 #include "core/sweep.hpp"
-#include "platform/feature_gates.hpp"
 #include "platform/scenario_parser.hpp"
 #include "platform/validate.hpp"
 #include "stats/report.hpp"
@@ -74,6 +79,18 @@ void usage() {
                "[--no-gating] [--sweep] [-j N] scenario.scn [...]\n";
 }
 
+// Parse `text` as the whole-string non-negative decimal value of `flag`;
+// print an `error:` line naming the flag and return false otherwise.
+template <typename T>
+bool parseFlag(const char* flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [p, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc() && p == end) return true;
+  std::cerr << "error: " << flag << " expects a non-negative integer, got '"
+            << text << "'\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -81,9 +98,10 @@ int main(int argc, char** argv) {
   bool want_sweep = false;
   bool want_verify = false;
   bool want_statecheck = false;
-  long long checkpoint_at = -1;  // -1 = keep the scenario/config default
-  long long ff_until = -1;       // -1 = keep the scenario/config default
-  long long ff_quantum = -1;     // -1 = keep the scenario/config default
+  // Unset = keep the scenario/config default.
+  std::optional<sim::Picos> checkpoint_at;
+  std::optional<sim::Picos> ff_until;
+  std::optional<sim::Picos> ff_quantum;
   bool want_ff_check = false;
   bool no_gating = false;
   std::string json_path;
@@ -101,12 +119,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--statecheck") == 0) {
       want_statecheck = true;
     } else if (std::strcmp(argv[i], "--checkpoint-at") == 0 && i + 1 < argc) {
-      checkpoint_at = std::stoll(argv[++i]);
+      if (!parseFlag("--checkpoint-at", argv[++i], checkpoint_at.emplace())) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--fast-forward-until") == 0 &&
                i + 1 < argc) {
-      ff_until = std::stoll(argv[++i]);
+      if (!parseFlag("--fast-forward-until", argv[++i], ff_until.emplace())) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--quantum") == 0 && i + 1 < argc) {
-      ff_quantum = std::stoll(argv[++i]);
+      if (!parseFlag("--quantum", argv[++i], ff_quantum.emplace())) return 2;
     } else if (std::strcmp(argv[i], "--ff-check") == 0) {
       want_ff_check = true;
     } else if (std::strcmp(argv[i], "--no-gating") == 0) {
@@ -114,9 +136,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       want_sweep = true;
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+      if (!parseFlag("-j", argv[++i], jobs)) return 2;
     } else if (std::strcmp(argv[i], "--normalize") == 0 && i + 1 < argc) {
-      normalize_to = static_cast<std::size_t>(std::stoul(argv[++i]));
+      if (!parseFlag("--normalize", argv[++i], normalize_to)) return 2;
     } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
       usage();
       return 2;
@@ -135,14 +157,15 @@ int main(int argc, char** argv) {
                  "(the flag expects a positive instant in ps)\n";
     return 2;
   }
-  if (ff_until < -1 || checkpoint_at < -1) {
-    std::cerr << "error: instants must be positive picosecond values\n";
-    return 2;
-  }
   if (checkpoint_at == 0) {
     std::cerr << "error: --checkpoint-at 0 would checkpoint the cold-start "
                  "state and check nothing (the flag expects a positive "
                  "instant in ps)\n";
+    return 2;
+  }
+  if (normalize_to >= files.size()) {
+    std::cerr << "error: --normalize " << normalize_to
+              << " names no scenario (" << files.size() << " given)\n";
     return 2;
   }
 
@@ -157,14 +180,10 @@ int main(int argc, char** argv) {
     }
     if (want_verify) sc.config.verify = true;
     if (want_statecheck) sc.config.statecheck = true;
-    if (checkpoint_at >= 0) {
-      sc.config.statecheck_at_ps = static_cast<sim::Picos>(checkpoint_at);
-    }
+    if (checkpoint_at) sc.config.statecheck_at_ps = *checkpoint_at;
     if (no_gating) sc.config.activity_gating = false;
-    if (ff_until > 0) sc.config.ff_until_ps = static_cast<sim::Picos>(ff_until);
-    if (ff_quantum >= 0) {
-      sc.config.ff_quantum_ps = static_cast<sim::Picos>(ff_quantum);
-    }
+    if (ff_until) sc.config.ff_until_ps = *ff_until;
+    if (ff_quantum) sc.config.ff_quantum_ps = *ff_quantum;
     if (want_ff_check) sc.config.ff_check = true;
     // CLI overrides can invalidate a scenario that parsed cleanly (e.g. a
     // fast-forward instant at/past the scenario's duration): re-validate.
@@ -174,10 +193,6 @@ int main(int argc, char** argv) {
       std::cerr << "error: scenario '" << sc.name << "': " << why << "\n";
       return 1;
     }
-    // One warning path for every compile-gated checker, covering both the
-    // CLI flags above and checkers requested by the scenario file itself.
-    const std::string warn = platform::compiledOutWarning(sc.config);
-    if (!warn.empty()) std::cerr << warn << " (" << sc.name << ")\n";
     // Scenario files may pin a fixed simulated duration (two-phase
     // workloads are unbounded and require one).
     points.push_back(core::SweepPoint{sc.name, sc.config, sc.duration_ps});
@@ -216,7 +231,6 @@ int main(int argc, char** argv) {
   results.reserve(sweep.points.size());
   for (const auto& p : sweep.points) results.push_back(p.result);
 
-  if (normalize_to >= results.size()) normalize_to = 0;
   stats::TextTable t("mpsoc_run results");
   t.setHeader({"scenario", "exec (us)", "normalized", "BW (MB/s)",
                "read lat mean/p95 (ns)", "done"});
