@@ -98,7 +98,7 @@ class Bridge : public sim::LtChannel {
   /// Conservation auditing for the side-B clones the master side issues.
   void setAuditor(txn::TxnAuditor* auditor);
 
-  bool idle() const;  // plain method; Bridge is not a Component  // mpsoc-lint: allow(missing-override)
+  bool idle() const;  // plain method; Bridge is not a Component
 
   // --- loosely-timed channel model (fast-forward mode) -----------------------
   //

@@ -9,7 +9,7 @@
 //
 // Used by:
 //   * tests/test_golden_stats.cpp — diffs live runs against tests/golden/;
-//   * the -j1-vs-jN determinism checks (tests + tools/check.sh sweep smoke);
+//   * the -j1-vs-jN determinism tests;
 //   * mpsoc_run --sweep, which prints a digest per point.
 
 #include <cstdint>

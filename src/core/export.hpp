@@ -19,7 +19,7 @@ std::string toJson(const ScenarioResult& r, int indent = 0);
 /// A scenario list as a JSON array.
 std::string toJson(const std::vector<ScenarioResult>& results);
 
-/// A sweep outcome as a JSON object (the BENCH_sweep.json schema): per-point
+/// A sweep outcome as a JSON object (the sweep JSON schema): per-point
 /// status, canonical digest, wall-clock and simulation throughput, plus the
 /// full scenario metrics of every successful point.
 std::string toSweepJson(const SweepOutcome& sweep, unsigned jobs);

@@ -10,8 +10,8 @@
 // is explicitly thread-safe (the Logger sink, the atomic transaction-id
 // counter — see src/sim/log.hpp and src/txn/transaction.cpp) and none of it
 // feeds simulation behaviour.  The result of a sweep is therefore
-// byte-identical at -j1 and -jN, which tools/check.sh and the determinism
-// tests enforce via the canonical digests of core/digest.hpp.
+// byte-identical at -j1 and -jN, which the sweep and determinism tests
+// enforce via the canonical digests of core/digest.hpp.
 //
 // Semantics:
 //   * results land at the index of their point — ordering is deterministic
@@ -58,7 +58,7 @@ struct PointResult {
   std::string error;      ///< exception text when status == Failed
   double wall_ms = 0.0;   ///< host time spent simulating this point
   /// Kernel edge instants per wall-clock second — the simulation-speed
-  /// figure the perf trajectory (BENCH_sweep.json) tracks.
+  /// figure of the sweep JSON.
   double sim_edges_per_s = 0.0;
 };
 

@@ -149,19 +149,12 @@ struct PlatformConfig {
   /// per quantum.  Smaller quanta track phase boundaries and quota exhaustion
   /// more closely; larger quanta fast-forward faster.
   sim::Picos ff_quantum_ps = 1'000'000;  // 1 us
-  /// Handoff-equivalence oracle: after the fast-forward handoff, execute
-  /// `ff_check_edges` accurate edges from the handoff checkpoint, digest,
-  /// rewind, re-execute and assert bit-identical digests — proving the
-  /// accurate region after a fast-forward is a pure function of the handoff
-  /// state (Simulator::replayCheck, like `statecheck`).
-  bool ff_check = false;
-  std::uint64_t ff_check_edges = 2000;
 
   /// Kernel activity gating (see Simulator::setActivityGating): skip
   /// evaluate() for components that declared themselves quiescent.  On by
   /// default; behaviour-neutral by contract (sleep is only legal while
   /// idle()), so switching it off must reproduce bit-identical digests —
-  /// which is exactly what the kernel-perf smoke in tools/check.sh asserts.
+  /// which is exactly what the KernelActivity gating tests assert.
   bool activity_gating = true;
 
   /// Two-regime workload for the Fig. 6 experiment: phase 1 is an intense

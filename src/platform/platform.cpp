@@ -482,14 +482,9 @@ void Platform::fastForward(sim::Picos until) {
   ff_->runTo(until);
   // Abstraction handoff: the cycle-accurate region starts from a checkpoint
   // restore of the fast-forwarded state, so the exact restore path the
-  // ff_check oracle validates is the one every fast-forwarded run takes.
+  // statecheck oracle validates is the one every fast-forwarded run takes.
   sim_.checkpoint();
   sim_.restoreCheckpoint();
-  if (cfg_.ff_check) {
-    sim_.replayCheck(cfg_.ff_check_edges, "ff-check",
-                     "the accurate region after a fast-forward handoff is not "
-                     "a pure function of the restored state");
-  }
 }
 
 void Platform::runPrologue(sim::Picos end) {

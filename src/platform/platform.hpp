@@ -139,12 +139,13 @@ class Platform {
   void buildFastForward();
   /// Fast-forward to `until` (no-op when not past now) under the LT engine,
   /// then hand off to the cycle-accurate model through a checkpoint/restore
-  /// boundary.  With cfg_.ff_check, Simulator::replayCheck then asserts the
-  /// first cfg_.ff_check_edges accurate edges replay bit-identically.
+  /// boundary.
   void fastForward(sim::Picos until);
   /// Start of run()/runFor() up to `end`: fast-forward to cfg_.ff_until_ps,
   /// then, with cfg_.statecheck, advance to cfg_.statecheck_at_ps and run
-  /// Simulator::replayCheck over cfg_.statecheck_edges edges.
+  /// Simulator::replayCheck over cfg_.statecheck_edges edges.  An instant
+  /// inside the fast-forwarded region (the default 1 us is) advances nothing,
+  /// so the oracle then checks the first accurate edges after the handoff.
   void runPrologue(sim::Picos end);
 
   /// NoC topology helpers: the memory's node and the mesh node the i-th

@@ -193,10 +193,6 @@ NamedScenario parseScenario(const std::string& text) {
       cfg.ff_until_ps = static_cast<sim::Picos>(parseU64(val, line_no));
     } else if (key == "ff_quantum_ps") {
       cfg.ff_quantum_ps = static_cast<sim::Picos>(parseU64(val, line_no));
-    } else if (key == "ff_check") {
-      cfg.ff_check = parseBool(val, line_no);
-    } else if (key == "ff_check_edges") {
-      cfg.ff_check_edges = parseU64(val, line_no);
     } else {
       fail(line_no, "unknown scenario option '" + key + "'");
     }
@@ -285,9 +281,7 @@ std::string emitScenario(const NamedScenario& scenario) {
      << "statecheck_at_ps = " << cfg.statecheck_at_ps << "\n"
      << "statecheck_edges = " << cfg.statecheck_edges << "\n"
      << "ff_until_ps = " << cfg.ff_until_ps << "\n"
-     << "ff_quantum_ps = " << cfg.ff_quantum_ps << "\n"
-     << "ff_check = " << b(cfg.ff_check) << "\n"
-     << "ff_check_edges = " << cfg.ff_check_edges << "\n";
+     << "ff_quantum_ps = " << cfg.ff_quantum_ps << "\n";
   return os.str();
 }
 

@@ -95,12 +95,6 @@ std::string validateConfig(const PlatformConfig& cfg, sim::Picos duration_ps) {
           "fast-forward";
     return os.str();
   }
-  if (cfg.ff_check && cfg.ff_until_ps == 0) {
-    return "ff_check requires fast-forward (set ff_until_ps > 0)";
-  }
-  if (cfg.ff_check && cfg.ff_check_edges < 1) {
-    return "ff_check_edges must be >= 1";
-  }
   return {};
 }
 

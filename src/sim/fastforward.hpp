@@ -26,9 +26,9 @@
 // Validation discipline: every component implementing an LT hook carries an
 // "LT-EQUIV:" tag naming its accurate/LT equivalence test (enforced by the
 // mpsoc_lint `lt-equiv-tag` rule); the handoff itself is gated by the
-// ff-check oracle (Simulator::replayCheck from Platform::fastForward) which
-// digest-compares the accurate region against a re-run from the same
-// checkpoint.
+// statecheck oracle (Simulator::replayCheck from Platform::runPrologue),
+// which, with its instant inside the fast-forwarded region, digest-compares
+// the first accurate edges against a re-run from the same checkpoint.
 
 #include <cstdint>
 #include <vector>

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "sim/check.hpp"
@@ -175,12 +174,6 @@ void Simulator::deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
 
 void Simulator::addCheckpointable(Checkpointable* c) {
   checkpointables_.push_back(c);
-}
-
-void Simulator::removeCheckpointable(Checkpointable* c) {
-  checkpointables_.erase(
-      std::remove(checkpointables_.begin(), checkpointables_.end(), c),
-      checkpointables_.end());
 }
 
 void Simulator::checkpoint() {

@@ -84,7 +84,7 @@ class Simulator {
   /// during evaluate.  The sleep contract (only legal while idle()) makes
   /// gating behaviour-neutral; switching it off re-evaluates every component
   /// on every edge and must produce bit-identical results — the equivalence
-  /// tests and the check.sh kernel-perf smoke assert exactly that.
+  /// tests assert exactly that.
   void setActivityGating(bool on) { activity_gating_ = on; }
   bool activityGating() const { return activity_gating_; }
 
@@ -132,7 +132,6 @@ class Simulator {
   /// Register an auxiliary state holder in the checkpoint set.  Must happen
   /// in deterministic (construction) order: the order labels digest items.
   void addCheckpointable(Checkpointable* c);
-  void removeCheckpointable(Checkpointable* c);
 
   /// Snapshot the complete platform state at the current instant: every
   /// component's manifest (saveState), every updatable's committed contents

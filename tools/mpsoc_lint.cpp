@@ -13,9 +13,6 @@
 //                       fed into stats or scheduling decisions differ between
 //                       libstdc++ versions and even between runs (pointer
 //                       hashing).  Iterate a deterministic container instead.
-//   missing-override    a redeclaration of a known kernel virtual (evaluate,
-//                       commit, idle, ...) without `override` silently forks
-//                       the hierarchy when the base signature changes.
 //   commit-in-evaluate  calling .commit()/->commit() from an evaluate() body
 //                       bypasses the kernel's commit phase and breaks the
 //                       registered-state timeline (also rejected at runtime
@@ -133,9 +130,6 @@ constexpr RuleInfo kRules[] = {
     {"unordered-iter",
      "range-for over std::unordered_{map,set} visits elements in "
      "implementation-defined order"},
-    {"missing-override",
-     "redeclaring a kernel virtual without `override` silently forks the "
-     "hierarchy"},
     {"commit-in-evaluate",
      "evaluate() must stage state; the kernel commits at the end of the edge"},
     {"monitor-registration",
@@ -681,22 +675,6 @@ class FileLinter {
                      "' has implementation-defined order; iterate a "
                      "deterministic container or sort first");
         }
-      }
-    }
-
-    // missing-override: redeclarations of known kernel virtuals.
-    if (!suppressed(comment, "missing-override")) {
-      static const std::regex redecl(
-          R"((?:void|bool)\s+(evaluate|commit|endOfSimulation|idle|saveState|restoreState|rollbackStaged)\s*\(\s*\)\s*(?:const\s*)?(?:\{|;|$))");
-      std::smatch m;
-      if (std::regex_search(code, m, redecl) &&
-          code.find("virtual") == std::string::npos &&
-          code.find("override") == std::string::npos &&
-          code.find("= 0") == std::string::npos) {
-        report(lineno, "missing-override",
-               "'" + m[1].str() +
-                   "()' matches a kernel virtual but lacks `override` (or "
-                   "`virtual` for a new base declaration)");
       }
     }
 

@@ -5,7 +5,7 @@
 //   --csv           print a machine-readable CSV block after the table
 //   --json <path>   write the sweep outcome (per-point digest, wall-clock,
 //                   simulation throughput, full metrics) as JSON; `-` writes
-//                   to stdout.  This is the BENCH_sweep.json schema.
+//                   to stdout (the sweep JSON schema).
 //   --normalize N   normalise execution times to scenario index N (default 0;
 //                   must name one of the given scenarios)
 //   --verify        attach the protocol monitors and transaction auditor
@@ -30,13 +30,9 @@
 //                   duration is rejected
 //   --quantum <ps>  temporal-decoupling quantum of the fast-forward engine
 //                   (default 1000000 = 1 us)
-//   --ff-check      after the fast-forward handoff, run the
-//                   handoff-equivalence oracle: execute a window of edges
-//                   from the handoff checkpoint, digest, rewind, re-execute,
-//                   and abort with exit code 1 if the digests differ
 //   --no-gating     disable kernel activity gating (evaluate every component
-//                   on every edge).  Digests must not change — the check.sh
-//                   kernel-perf smoke diffs gated vs. ungated runs with this
+//                   on every edge).  Digests must not change (pinned by the
+//                   KernelActivity gating tests)
 //   --sweep         print the sweep view: per-point wall-clock, simulation
 //                   throughput (Medges/s) and canonical result digest
 //   -j N            run N scenarios concurrently (0 = one per hardware
@@ -75,7 +71,7 @@ namespace {
 void usage() {
   std::cerr << "usage: mpsoc_run [--csv] [--json <path|->] [--normalize N] "
                "[--verify] [--statecheck] [--checkpoint-at ps] "
-               "[--fast-forward-until ps] [--quantum ps] [--ff-check] "
+               "[--fast-forward-until ps] [--quantum ps] "
                "[--no-gating] [--sweep] [-j N] scenario.scn [...]\n";
 }
 
@@ -102,7 +98,6 @@ int main(int argc, char** argv) {
   std::optional<sim::Picos> checkpoint_at;
   std::optional<sim::Picos> ff_until;
   std::optional<sim::Picos> ff_quantum;
-  bool want_ff_check = false;
   bool no_gating = false;
   std::string json_path;
   std::size_t normalize_to = 0;
@@ -129,8 +124,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--quantum") == 0 && i + 1 < argc) {
       if (!parseFlag("--quantum", argv[++i], ff_quantum.emplace())) return 2;
-    } else if (std::strcmp(argv[i], "--ff-check") == 0) {
-      want_ff_check = true;
     } else if (std::strcmp(argv[i], "--no-gating") == 0) {
       no_gating = true;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
@@ -184,7 +177,6 @@ int main(int argc, char** argv) {
     if (no_gating) sc.config.activity_gating = false;
     if (ff_until) sc.config.ff_until_ps = *ff_until;
     if (ff_quantum) sc.config.ff_quantum_ps = *ff_quantum;
-    if (want_ff_check) sc.config.ff_check = true;
     // CLI overrides can invalidate a scenario that parsed cleanly (e.g. a
     // fast-forward instant at/past the scenario's duration): re-validate.
     const std::string why =
