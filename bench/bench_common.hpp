@@ -10,6 +10,7 @@
 //                  (0 = one per hardware thread).  Results are byte-identical
 //                  at every -j (see core/sweep.hpp).
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -32,7 +33,16 @@ class BenchOptions {
       if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
         o.out_path_ = argv[++i];
       } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-        o.jobs_ = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+        // Whole-string parse, as mpsoc_run does: "abc", "-1" or "4x" is a
+        // usage error, not a silent fall-back to one worker per thread.
+        const char* text = argv[++i];
+        const char* end = text + std::strlen(text);
+        const auto [p, ec] = std::from_chars(text, end, o.jobs_);
+        if (ec != std::errc() || p != end) {
+          std::cerr << "error: -j expects a non-negative integer, got '"
+                    << text << "'\n";
+          std::exit(2);
+        }
       } else {
         std::cerr << "usage: " << argv[0] << " [--out <path>] [-j N]\n";
         std::exit(2);

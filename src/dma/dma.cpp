@@ -134,9 +134,7 @@ void DmaEngine::completeWriteFor(std::uint64_t req_id) {
                 "write completion for finished descriptor " << desc);
   if (--desc_slices_left_[desc] == 0) {
     ++descs_done_;
-    // Deep-check replay repeats the completing evaluate; only the forward
-    // pass notifies (descs_done_ itself rolls back via the manifest).
-    if (on_complete_ && !clk_.simulator().inReplay()) on_complete_(chain_[desc]);
+    if (on_complete_) on_complete_(chain_[desc]);
   }
 }
 

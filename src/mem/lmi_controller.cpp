@@ -126,8 +126,7 @@ void LmiController::evaluate() {
   std::uint32_t beat_offset = 0;
   for (const RequestPtr& r : batch) {
     r->accepted_ps = now;
-    // Trace observers only see the forward pass of deep-check replay.
-    if (observer_ && !clk_.simulator().inReplay()) observer_(now, r);
+    if (observer_) observer_(now, r);
     const bool needs_rsp = !(r->posted && r->op == Opcode::Write);
     if (needs_rsp) {
       auto rsp = std::make_shared<txn::Response>();

@@ -50,24 +50,19 @@ void ClockDomain::evaluateEdge() {
 }
 
 void ClockDomain::evaluateComponents(bool reverse) {
-  if (reverse) {
-    // Deep-check replay runs *every* component, including quiescent ones: a
-    // component that went to sleep while it still had work to stage diverges
-    // from the forward (gated) pass here and trips the staged-digest check.
-    for (auto it = components_.rbegin(); it != components_.rend(); ++it) {
-      (*it)->evaluate();
-    }
-    return;
-  }
   const bool gate = sim_.activityGating();
-  // Index loop: a component constructed during evaluate() (mid-run
+  auto run = [gate](Component* c) {
+    if (!(gate && c->asleep())) c->evaluate();
+  };
+  // Index loops: a component constructed during evaluate() (mid-run
   // registration) is appended to components_ and joins this very edge, in
-  // deterministic registration order.
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    Component* c = components_[i];
-    if (gate && c->asleep()) continue;
-    c->evaluate();
+  // deterministic registration order — after the sweep when it is reversed.
+  std::size_t i = 0;
+  if (reverse) {
+    i = components_.size();
+    for (std::size_t j = i; j > 0; --j) run(components_[j - 1]);
   }
+  for (; i < components_.size(); ++i) run(components_[i]);
 }
 
 void ClockDomain::commitEdge() {

@@ -35,28 +35,8 @@ class Updatable {
   /// edge's domains has run evaluate().
   virtual void commit() = 0;
 
-  // --- deep-check hooks (see Simulator::setDeepCheck) -----------------------
-
-  /// Structural digest of the state staged this edge (push/pop counts,
-  /// out-of-order removal positions).  Two evaluate passes that stage
-  /// different amounts or shapes of work produce different digests.
-  virtual std::uint64_t stagedDigest() const { return 0; }
-  /// Called before the forward evaluate pass of a deep-checked edge.  An
-  /// updatable whose staging can span edges (AsyncFifo: a pop staged at a
-  /// consumer-only edge commits at the producer's next edge) records the
-  /// carried-over staging here so rollbackStaged() can restore it instead
-  /// of zeroing it.
-  virtual void snapshotStaged() {}
-  /// True when staged state can be discarded and the edge re-evaluated
-  /// (requires value-preserving pops; see SyncFifo).
-  virtual bool replaySupported() const { return false; }
-  /// Discard everything staged this edge, restoring the pre-evaluate view.
-  virtual void rollbackStaged() {}
-  /// Validate internal structural invariants; raise InvariantViolation on
-  /// corruption.  Called per edge in deep-check mode.
-  virtual void checkInvariants() const {}
-  /// Name used by deep-check divergence reports (FIFOs return their
-  /// instance name so a replay mismatch points at the guilty queue).
+  /// Name used in state-divergence reports (FIFOs return their instance
+  /// name so a mismatch points at the guilty queue).
   virtual const std::string& updatableName() const {
     static const std::string anon = "<unnamed updatable>";
     return anon;
@@ -65,10 +45,9 @@ class Updatable {
   // --- checkpoint hooks (see Simulator::checkpoint) -------------------------
 
   /// Snapshot all committed state so the kernel can restore this updatable to
-  /// the current instant later (statecheck oracle, fast-forward
-  /// handoff).  Distinct from the per-edge staged-state hooks
-  /// above: a checkpoint is taken between edges (Phase::Outside) and captures
-  /// the registered contents, not the in-edge staging.  Return false (the
+  /// the current instant later (statecheck oracle, fast-forward handoff).  A
+  /// checkpoint is taken between edges (Phase::Outside) and captures the
+  /// registered contents, not the in-edge staging.  Return false (the
   /// default) when unsupported — Simulator::checkpoint() then refuses.
   virtual bool saveCheckpoint() { return false; }
   virtual void restoreCheckpoint() {}
@@ -145,9 +124,9 @@ class ClockDomain {
 
   /// Phase 1 of an edge: bump the cycle counter and run every component.
   void evaluateEdge();
-  /// Re-run the components of the current edge without bumping the cycle
-  /// counter (deep-check replay).  `reverse` flips the registration order to
-  /// expose order-dependent evaluate logic.
+  /// Run the awake components of the current edge without bumping the cycle
+  /// counter.  `reverse` sweeps them last to first (Simulator's reverse
+  /// order); components registered during the sweep run after it.
   void evaluateComponents(bool reverse);
   /// Phase 2 of an edge: commit all staged state and schedule the next edge.
   void commitEdge();

@@ -34,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "sim/check.hpp"
@@ -45,15 +44,6 @@
 #include "sim/time.hpp"
 
 namespace mpsoc::sim {
-
-namespace detail {
-/// FNV-1a combine for the structural staged-state digests of deep-check mode.
-inline std::uint64_t fnvCombine(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 1099511628211ULL;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-}  // namespace detail
 
 /// End-of-edge snapshot handed to FIFO observers (used by stats probes to
 /// classify every cycle as full / storing / no-request, per Fig. 6).
@@ -91,10 +81,13 @@ class SyncFifo final : public Updatable {
   /// Space check against *registered* occupancy: pops staged this edge do not
   /// free space until the next edge.  Out-of-order pops (popAt) are the
   /// exception: their slot is free at once, so the answer depends on whether
-  /// the popAt() consumer evaluated first.  The fig5 and record-use-case
-  /// goldens (bus platforms with the LMI) are pinned with that order
-  /// dependence (see ROADMAP); new producers into a popAt()-serviced FIFO
-  /// use canPushThisEdge().
+  /// the popAt() consumer evaluated first.  Three consumers pop out of order:
+  /// the LMI lookahead engine, the AXI bus's initiator-request pops and
+  /// InterconnectBase::popResponseByIdentity.  The goldens and digests of the
+  /// platforms they serve are pinned with that order dependence, and
+  /// OrderOracle.PopAtSameEdgeSlotDivergesOnBusPlatforms pins where it shows
+  /// (see ROADMAP); new producers into a popAt()-serviced FIFO use
+  /// canPushThisEdge().
   bool canPush(std::size_t n = 1) const {
     return committed_n_ + staged_n_ + n <= capacity_;
   }
@@ -139,7 +132,7 @@ class SyncFifo final : public Updatable {
     checkPhase("pop");
     SIM_CHECK_CTX(!empty(), name_, &clk_, "pop() on empty FIFO");
     clk_.queueCommit(this);
-    T v = takeAt(pop_count_);
+    T v = std::move(ring_[rix(pop_count_)]);
     ++pop_count_;
     notifyTaps(pop_taps_, v);
     return v;
@@ -155,12 +148,7 @@ class SyncFifo final : public Updatable {
     if (i == 0) return pop();
     clk_.queueCommit(this);
     const std::size_t idx = pop_count_ + i;
-    T v = takeAt(idx);
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (clk_.simulator().deepCheck()) {
-        ooo_journal_.push_back({idx, ring_[rix(idx)]});
-      }
-    }
+    T v = std::move(ring_[rix(idx)]);
     // Close the gap: shift every later element (committed and staged, which
     // sit contiguously after the committed run) one logical slot down.
     const std::size_t live = committed_n_ + staged_n_;
@@ -189,7 +177,7 @@ class SyncFifo final : public Updatable {
 
   /// Payload observation taps for the src/verify protocol monitors: invoked
   /// synchronously for every staged push / pop (in-order and out-of-order),
-  /// in program order, skipping the deep-check replay pass.
+  /// in program order.
   using Tap = std::function<void(const T&)>;
   void addPushTap(Tap t) { push_taps_.push_back(std::move(t)); }
   void addPopTap(Tap t) { pop_taps_.push_back(std::move(t)); }
@@ -209,7 +197,6 @@ class SyncFifo final : public Updatable {
     staged_n_ = 0;
     pop_count_ = 0;
     ooo_pops_ = 0;
-    ooo_journal_.clear();
 
     info.occupancy_after = committed_n_;
     SIM_CHECK_CTX(
@@ -228,53 +215,7 @@ class SyncFifo final : public Updatable {
     if (observer_) observer_(observer_ctx_, info);
   }
 
-  // --- deep-check hooks -----------------------------------------------------
-
-  bool replaySupported() const override {
-    return std::is_copy_constructible_v<T>;
-  }
-
   const std::string& updatableName() const override { return name_; }
-
-  std::uint64_t stagedDigest() const override {
-    std::uint64_t h = detail::kFnvBasis;
-    h = detail::fnvCombine(h, staged_n_);
-    h = detail::fnvCombine(h, pop_count_);
-    h = detail::fnvCombine(h, ooo_pops_);
-    for (const auto& e : ooo_journal_) h = detail::fnvCombine(h, e.index);
-    return h;
-  }
-
-  void rollbackStaged() override {
-    staged_n_ = 0;
-    pop_count_ = 0;
-    if constexpr (std::is_copy_constructible_v<T>) {
-      // Undo out-of-order erasures back-to-front to restore exact positions
-      // (in-order pops need no undo: deep-check pops copy, so the values are
-      // still in place).
-      for (auto it = ooo_journal_.rbegin(); it != ooo_journal_.rend(); ++it) {
-        for (std::size_t j = committed_n_; j > it->index; --j) {
-          ring_[rix(j)] = std::move(ring_[rix(j - 1)]);
-        }
-        ring_[rix(it->index)] = it->value;
-        ++committed_n_;
-      }
-    }
-    ooo_journal_.clear();
-    ooo_pops_ = 0;
-  }
-
-  void checkInvariants() const override {
-    SIM_CHECK_CTX(pop_count_ <= committed_n_, name_, &clk_,
-                  "pop count " << pop_count_ << " exceeds committed occupancy "
-                               << committed_n_);
-    SIM_CHECK_CTX(committed_n_ + staged_n_ <= capacity_,
-                  name_, &clk_,
-                  "occupancy " << committed_n_ + staged_n_
-                               << " exceeds capacity " << capacity_);
-    SIM_CHECK_CTX(head_ < capacity_, name_, &clk_,
-                  "ring head " << head_ << " outside capacity " << capacity_);
-  }
 
   // --- checkpoint hooks (native ring-buffer snapshot) -----------------------
 
@@ -305,7 +246,6 @@ class SyncFifo final : public Updatable {
       staged_n_ = 0;
       pop_count_ = 0;
       ooo_pops_ = 0;
-      ooo_journal_.clear();
       for (std::size_t i = 0; i < committed_n_; ++i) {
         state::StateOps<T>::restore(ring_[rix(i)], ckpt_items_[i]);
       }
@@ -341,22 +281,8 @@ class SyncFifo final : public Updatable {
     return i;
   }
 
-  /// Take the value at logical position `logical`: copied when deep-check
-  /// replay may need to re-run the edge, moved on the fast path.
-  T takeAt(std::size_t logical) {
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (clk_.simulator().deepCheck()) return ring_[rix(logical)];
-    }
-    return std::move(ring_[rix(logical)]);
-  }
-
-  struct OooEntry {
-    std::size_t index;  ///< logical position among committed at erase time
-    T value;
-  };
-
   void notifyTaps(const std::vector<Tap>& taps, const T& v) const {
-    if (taps.empty() || clk_.simulator().inReplay()) return;
+    if (taps.empty()) return;
     for (const auto& t : taps) t(v);
   }
 
@@ -373,7 +299,6 @@ class SyncFifo final : public Updatable {
   std::size_t staged_n_ = 0;
   std::size_t pop_count_ = 0;  ///< in-order pops staged this edge
   std::size_t ooo_pops_ = 0;   ///< out-of-order removals staged this edge
-  std::vector<OooEntry> ooo_journal_;  ///< deep-check undo log for popAt
   // Checkpoint snapshot of the committed ring (see saveCheckpoint()).
   std::vector<state::SnapshotOf<T>> ckpt_items_;
   std::size_t ckpt_head_ = 0;
@@ -413,10 +338,9 @@ class AsyncFifo final : public Updatable {
                   "domain '" << cons_.name()
                   << "' belong to different simulators");
     prod_.addUpdatable(this, ClockDomain::CommitPolicy::WhenQueued);
-    // Also listed (never commit-queued) on the consumer side: pops staged at
-    // a consumer-only edge commit at the producer's next edge, so deep-check
-    // must see this FIFO when it replays a consumer edge or the re-popped
-    // items would be dropped twice at that commit.
+    // Also listed (never commit-queued) on the consumer side, where its pops
+    // are staged: checkpoint() and stateDigestItems() walk it under both
+    // domains, and the pinned state digests label it by that position.
     if (&cons_ != &prod_) {
       cons_.addUpdatable(this, ClockDomain::CommitPolicy::WhenQueued);
     }
@@ -466,7 +390,7 @@ class AsyncFifo final : public Updatable {
     checkPhase("pop");
     SIM_CHECK_CTX(canPop(), name_, &cons_, "pop() with no readable item");
     prod_.queueCommit(this);
-    T v = takeAt(pop_count_);
+    T v = std::move(committed_[pop_count_].value);
     ++pop_count_;
     return v;
   }
@@ -497,47 +421,7 @@ class AsyncFifo final : public Updatable {
     }
   }
 
-  // --- deep-check hooks -----------------------------------------------------
-
-  bool replaySupported() const override {
-    return std::is_copy_constructible_v<T>;
-  }
-
   const std::string& updatableName() const override { return name_; }
-
-  std::uint64_t stagedDigest() const override {
-    std::uint64_t h = detail::kFnvBasis;
-    h = detail::fnvCombine(h, staged_.size());
-    h = detail::fnvCombine(h, pop_count_);
-    return h;
-  }
-
-  void snapshotStaged() override {
-    // staged_ never spans edges (pushes commit at the producer edge that
-    // staged them), but pop_count_ can: a pop staged at a consumer-only
-    // edge commits at the producer's next edge, so an edge can begin with
-    // a carried-over pop count that rollback must preserve.
-    SIM_CHECK_CTX(staged_.empty(), name_, &prod_,
-                  "deep-check snapshot with " << staged_.size()
-                                              << " staged pushes at edge "
-                                                 "start");
-    dc_pop_count_ = pop_count_;
-  }
-
-  void rollbackStaged() override {
-    staged_.clear();
-    pop_count_ = dc_pop_count_;
-  }
-
-  void checkInvariants() const override {
-    SIM_CHECK_CTX(pop_count_ <= committed_.size(), name_, &prod_,
-                  "pop count " << pop_count_ << " exceeds committed occupancy "
-                               << committed_.size());
-    SIM_CHECK_CTX(committed_.size() + staged_.size() <= capacity_,
-                  name_, &prod_,
-                  "occupancy " << committed_.size() + staged_.size()
-                               << " exceeds capacity " << capacity_);
-  }
 
   // --- checkpoint hooks -----------------------------------------------------
   //
@@ -601,13 +485,6 @@ class AsyncFifo final : public Updatable {
                         "mutated from Component::evaluate()");
   }
 
-  T takeAt(std::size_t idx) {
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (prod_.simulator().deepCheck()) return committed_[idx].value;
-    }
-    return std::move(committed_[idx].value);
-  }
-
   struct Entry {
     T value;
     Picos visible_at;
@@ -621,7 +498,6 @@ class AsyncFifo final : public Updatable {
   std::deque<Entry> committed_;
   std::vector<T> staged_;
   std::size_t pop_count_ = 0;
-  std::size_t dc_pop_count_ = 0;  ///< pre-edge pop count (deep-check)
   // Checkpoint snapshot of the committed entries (see saveCheckpoint()).
   std::vector<state::SnapshotOf<T>> ckpt_items_;
   std::vector<Picos> ckpt_visible_;

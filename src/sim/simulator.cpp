@@ -97,28 +97,14 @@ bool Simulator::step() {
 
   // Phase 1: evaluate every domain whose edge coincides with t.
   phase_ = Phase::Evaluate;
-  // Deep-check replay needs the pre-evaluate snapshot taken first.
-  bool replayable = false;
-  if (deep_check_) {
-    replayable = true;
-    for (ClockDomain* d : edge_scratch_) {
-      for (Updatable* u : d->updatables()) {
-        if (!u->replaySupported()) replayable = false;
-        u->snapshotStaged();
-      }
-      for (Component* c : d->components()) {
-        if (!c->saveState()) replayable = false;
-      }
+  if (reverse_order_) {
+    for (ClockDomain* d : edge_scratch_) ++d->cycle_;
+    for (auto it = edge_scratch_.rbegin(); it != edge_scratch_.rend(); ++it) {
+      (*it)->evaluateComponents(/*reverse=*/true);
     }
-    if (replayable) {
-      ++deep_stats_.replayed_edges;
-    } else {
-      ++deep_stats_.skipped_edges;
-    }
+  } else {
+    for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
   }
-  for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
-
-  if (deep_check_) deepCheckEdge(edge_scratch_, replayable);
 
   // Phase 2: commit their staged state.
   phase_ = Phase::Commit;
@@ -132,46 +118,6 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
-                              bool replayable) {
-  if (replayable) {
-    std::vector<std::uint64_t> digests;
-    for (ClockDomain* d : edge_domains) {
-      for (Updatable* u : d->updatables()) digests.push_back(u->stagedDigest());
-    }
-
-    for (ClockDomain* d : edge_domains) {
-      for (Updatable* u : d->updatables()) u->rollbackStaged();
-      for (Component* c : d->components()) c->restoreState();
-    }
-    // Second pass in reverse order: a well-behaved edge stages the same
-    // work regardless of component registration order.  The replay pass
-    // evaluates sleeping components too (see evaluateComponents), so an
-    // illegal sleep() shows up as a digest divergence.
-    in_replay_ = true;
-    for (auto it = edge_domains.rbegin(); it != edge_domains.rend(); ++it) {
-      (*it)->evaluateComponents(true);
-    }
-    in_replay_ = false;
-
-    std::size_t i = 0;
-    for (ClockDomain* d : edge_domains) {
-      for (Updatable* u : d->updatables()) {
-        SIM_CHECK_CTX(u->stagedDigest() == digests[i], "deep-check", d,
-                      "order-dependent evaluate: staged state of '"
-                          << u->updatableName()
-                          << "' diverged between forward and reverse "
-                             "evaluation passes");
-        ++i;
-      }
-    }
-  }
-
-  for (ClockDomain* d : edge_domains) {
-    for (Updatable* u : d->updatables()) u->checkInvariants();
-  }
-}
-
 void Simulator::addCheckpointable(Checkpointable* c) {
   checkpointables_.push_back(c);
 }
@@ -179,9 +125,6 @@ void Simulator::addCheckpointable(Checkpointable* c) {
 void Simulator::checkpoint() {
   SIM_CHECK(phase_ == Phase::Outside,
             "checkpoint() is only legal between edges (Phase::Outside)");
-  SIM_CHECK(!deep_check_,
-            "checkpoint() with deep-check on: the per-component snapshot "
-            "slot is shared with the replay machinery");
   for (const auto& d : domains_) {
     for (Component* c : d->components()) {
       SIM_CHECK_CTX(c->saveState(), c->name(), d.get(),

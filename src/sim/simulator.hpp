@@ -97,35 +97,17 @@ class Simulator {
   /// Watchdogs use this as their "system still busy" test.
   bool anyComponentBusy(const Component* exclude = nullptr) const;
 
-  /// Deep-check mode: after the evaluate phase of every edge the kernel
-  /// digests all staged state, rolls it back, re-runs evaluate with component
-  /// order *reversed*, and raises InvariantViolation if the second pass stages
-  /// a structurally different result — catching order-dependent evaluate logic
-  /// that would break the determinism guarantee.  Replay engages only when
-  /// every component on the edge implements saveState()/restoreState() and
-  /// every Updatable supports rollback; otherwise the kernel still digests and
-  /// runs per-edge structural invariant checks.  The replay pass evaluates
-  /// sleeping components too, so a component that slept while it still had
-  /// work to stage is caught as a forward/replay divergence.  Expensive; off
-  /// by default.
-  void setDeepCheck(bool on) { deep_check_ = on; }
-  bool deepCheck() const { return deep_check_; }
-
-  /// True while deep-check re-runs the evaluate phase of the current edge.
-  /// Observation taps (protocol monitors) use this to ignore the replay pass,
-  /// which repeats every FIFO push/pop of the forward pass.
-  bool inReplay() const { return in_replay_; }
-
-  /// Deep-check replay coverage: edges where the replay pass actually ran
-  /// (every component on the edge manifested via SIM_STATE, every updatable
-  /// rollback-capable) versus edges where only the structural checks ran.
-  /// The full-platform test asserts skipped_edges == 0 — the manifest floor
-  /// the `unmanifested-state` lint rule enforces statically.
-  struct DeepCheckStats {
-    std::uint64_t replayed_edges = 0;
-    std::uint64_t skipped_edges = 0;
-  };
-  const DeepCheckStats& deepCheckStats() const { return deep_stats_; }
+  /// Reverse evaluation order (default off): every edge first advances the
+  /// cycle counter of each domain on it, then evaluates the domains last to
+  /// first and each domain's components last to first.  Activity gating
+  /// applies as in forward order; a component registered during the edge
+  /// joins it after the reversed sweep of its domain.  The two-phase
+  /// discipline makes results independent of this order, so a platform
+  /// stepped forward and a copy stepped reversed must hold identical FIFO
+  /// and component state after every edge — the order oracle in the tests
+  /// steps the two in lockstep and names the first state holder that
+  /// diverges.
+  void setReverseOrder(bool on) { reverse_order_ = on; }
 
   // --- checkpointing (replayCheck oracles, fast-forward; see DESIGN.md) -----
 
@@ -137,10 +119,9 @@ class Simulator {
   /// component's manifest (saveState), every updatable's committed contents
   /// (saveCheckpoint), every registered Checkpointable, and the kernel's own
   /// time state (now, edge count, per-domain cycle counters and next-edge
-  /// instants).  Only legal between edges (Phase::Outside) and with
-  /// deep-check off — the per-component snapshot slot is shared with the
-  /// deep-check replay machinery.  Raises InvariantViolation naming the
-  /// first component or updatable that does not support checkpointing.
+  /// instants).  Only legal between edges (Phase::Outside).  Raises
+  /// InvariantViolation naming the first component or updatable that does
+  /// not support checkpointing.
   void checkpoint();
 
   /// Rewind to the last checkpoint().  The component/domain population must
@@ -226,8 +207,6 @@ class Simulator {
     std::vector<ClockDomain*> domains;
   };
 
-  void deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
-                     bool replayable);
   /// Time of the next edge instant, without executing it.
   Picos nextEdgeTime();
   void rebuildSchedule();
@@ -249,8 +228,7 @@ class Simulator {
   Picos now_ps_ = 0;
   std::uint64_t edges_executed_ = 0;
   Phase phase_ = Phase::Outside;
-  bool deep_check_ = false;
-  bool in_replay_ = false;
+  bool reverse_order_ = false;
   bool finished_ = false;
   bool activity_gating_ = true;
 
@@ -262,10 +240,9 @@ class Simulator {
   std::vector<ClockDomain*> edge_scratch_;
   bool schedule_valid_ = false;
 
-  // Checkpoint / deep-check bookkeeping.
+  // Checkpoint bookkeeping.
   KernelCheckpoint ckpt_;
   std::vector<Checkpointable*> checkpointables_;
-  DeepCheckStats deep_stats_;
 
   // Activity bookkeeping.
   std::size_t component_count_ = 0;

@@ -10,7 +10,7 @@
 //     SIM_STATE_EXEMPT(cfg_, "immutable configuration");
 //   };
 //
-// and the macro generates the saveState()/restoreState() deep-check hooks and
+// and the macro generates the saveState()/restoreState() checkpoint hooks and
 // a canonical stateDigest() from the one list.  The mpsoc_lint rule
 // `unmanifested-state` closes the loop statically: every trailing-underscore
 // member of a Component subclass must appear in exactly one manifest or
@@ -24,12 +24,12 @@
 //   * observer callbacks/taps and cached auditor/monitor pointers;
 //   * members that are themselves registered Updatables (FIFOs): the kernel
 //     checkpoints those directly through the per-domain updatable walk;
-//   * append-only trace sinks (timeline samples, VCD streams) whose owners
-//     guard their evaluate() against the deep-check replay pass.
+//   * append-only trace sinks (timeline samples, VCD streams): output of the
+//     run, never read back by the model.
 // Stats counters (issued/retired counts, latency probes, channel-utilisation
-// accumulators) are NOT exempt: deep-check replay re-runs evaluate(), so any
-// counter bumped there must be rolled back by restoreState() or the second
-// pass double-counts.
+// accumulators) are NOT exempt: they are reported results, so the statecheck
+// oracle must see a rewound window re-count them identically, and
+// restoreState() must roll them back or the replayed window double-counts.
 //
 // Digest canon: transaction ids (Request::id/root_id) are volatile — a
 // restored window re-issues new requests from the process-wide id counter, so

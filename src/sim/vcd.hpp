@@ -82,9 +82,6 @@ class VcdSampler final : public Component {
   }
 
   void evaluate() override {
-    // Trace sinks only see the forward pass of deep-check replay (the writer
-    // stream is append-only and cannot be rolled back).
-    if (clk_.simulator().inReplay()) return;
     values_.resize(observers_.size());
     for (std::size_t i = 0; i < observers_.size(); ++i) {
       values_[i] = observers_[i] ? observers_[i]() : 0;

@@ -38,9 +38,6 @@ class Watchdog final : public Component {
   std::uint64_t checksPerformed() const { return checks_; }
 
   void evaluate() override {
-    // The watchdog observes progress; replaying an edge must not advance its
-    // baseline or double-count checks.
-    if (clk_.simulator().inReplay()) return;
     if (now() % interval_ != 0) return;
     ++checks_;
     const std::uint64_t p = progress_();

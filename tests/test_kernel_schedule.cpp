@@ -2,7 +2,7 @@
 // time-bound fix, the runUntilIdle() stale-snapshot / last-active fixes, the
 // Watchdog first-interval fix, the cached coincident-edge schedule, and the
 // sleep()/wake() activity protocol (gating equivalence, wake hooks, contract
-// enforcement, deep-check divergence on illegal sleeps).
+// enforcement, gated-vs-ungated lockstep divergence on illegal sleeps).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "core/digest.hpp"
 #include "core/experiment.hpp"
+#include "order_oracle.hpp"
 #include "platform/config.hpp"
 #include "sim/check.hpp"
 #include "sim/component.hpp"
@@ -286,15 +287,14 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   EXPECT_EQ(gated.exec_ps, ungated.exec_ps);
 }
 
-TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
-  // A component whose idle() lies can slip past the sleep() contract check;
-  // the deep-check replay (which evaluates sleeping components too) then
-  // catches it as a forward/replay staged-state divergence on the first edge
-  // where the gated forward pass skips work the replay pass stages.
+TEST(KernelActivity, IllegalSleepCaughtByGatedVsUngatedLockstep) {
+  // A component whose idle() lies slips past the sleep() contract check.
+  // Gating then skips work it still had to stage, so a gated copy and an
+  // ungated copy stepped in lockstep diverge in the FIFO it feeds on the
+  // first edge after it slept.
   struct Liar : sim::Component {
     sim::SyncFifo<int>& f;
     int next = 0;
-    int saved = 0;
     Liar(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
         : sim::Component(c, "liar"), f(fifo) {}
     void evaluate() override {
@@ -302,19 +302,22 @@ TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
       sleep();  // illegal in spirit: there is still work to stage
     }
     bool idle() const override { return true; }  // the lie
-    bool saveState() override {
-      saved = next;
-      return true;
-    }
-    void restoreState() override { next = saved; }
+  };
+  struct Rig {
+    sim::Simulator s;
+    sim::ClockDomain& clk = s.addClockDomain("clk", 100.0);
+    sim::SyncFifo<int> f{clk, "f", 64};
+    Liar c{clk, f};
   };
 
-  sim::Simulator s;
-  s.setDeepCheck(true);
-  auto& clk = s.addClockDomain("clk", 100.0);
-  sim::SyncFifo<int> f(clk, "f", 64);
-  Liar c(clk, f);
-  EXPECT_THROW(s.run(100'000), sim::InvariantViolation);
+  Rig gated;
+  Rig ungated;
+  ungated.s.setActivityGating(false);
+  const testutil::LockstepReport r =
+      testutil::runLockstep(gated.s, ungated.s, 100'000);
+  ASSERT_TRUE(r.diverged);
+  EXPECT_EQ(r.holder, "f");
+  EXPECT_EQ(r.edges, 2u);
 }
 
 }  // namespace

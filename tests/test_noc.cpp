@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <tuple>
@@ -11,6 +12,7 @@
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
 #include "noc/mesh.hpp"
+#include "order_oracle.hpp"
 #include "platform/platform.hpp"
 #include "sim/check.hpp"
 #include "sim/simulator.hpp"
@@ -151,24 +153,40 @@ std::vector<Arrival> runHandDriven(const std::vector<Scripted>& script,
     SIM_STATE_EXEMPT(sinks, "wiring (kernel checkpoints FIFOs)");
   };
 
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("noc", 400.0);
-  noc::Router r(clk, "r11", 1, 1, 3, 3, cfg);
-  std::vector<std::unique_ptr<noc::Router::PacketFifo>> sinks;
-  for (std::size_t d = 0; d < noc::kDirs; ++d) {
-    sinks.push_back(std::make_unique<noc::Router::PacketFifo>(
-        clk, "sink" + std::to_string(d), 16));
-    r.connectOutput(static_cast<noc::Dir>(d), sinks.back().get());
-  }
-  Feeder feeder(clk, r, script);
-  Drain drain(clk, sinks);
-  // Every edge is also replayed in reverse component order: the arbitration
-  // must not depend on evaluation order.
-  s.setDeepCheck(true);
-  for (int i = 0; i < 40; ++i) s.step();
-  EXPECT_EQ(s.deepCheckStats().skipped_edges, 0u);
-  EXPECT_EQ(r.packetsRouted(), script.size());
-  return drain.seen;
+  struct Rig {
+    sim::Simulator s;
+    sim::ClockDomain& clk = s.addClockDomain("noc", 400.0);
+    noc::Router r;
+    std::vector<std::unique_ptr<noc::Router::PacketFifo>> sinks;
+    Feeder feeder;
+    Drain drain;
+    Rig(const std::vector<Scripted>& script, noc::RouterConfig cfg)
+        : r(clk, "r11", 1, 1, 3, 3, cfg),
+          sinks(makeSinks(clk, r)),
+          feeder(clk, r, script),
+          drain(clk, sinks) {}
+    static std::vector<std::unique_ptr<noc::Router::PacketFifo>> makeSinks(
+        sim::ClockDomain& clk, noc::Router& r) {
+      std::vector<std::unique_ptr<noc::Router::PacketFifo>> v;
+      for (std::size_t d = 0; d < noc::kDirs; ++d) {
+        v.push_back(std::make_unique<noc::Router::PacketFifo>(
+            clk, "sink" + std::to_string(d), 16));
+        r.connectOutput(static_cast<noc::Dir>(d), v.back().get());
+      }
+      return v;
+    }
+  };
+
+  // A reverse-order copy steps in lockstep: the arbitration must not depend
+  // on evaluation order.
+  Rig fwd(script, cfg);
+  Rig rev(script, cfg);
+  const testutil::LockstepReport rep = testutil::runOrderOracle(
+      fwd.s, rev.s, std::numeric_limits<sim::Picos>::max(),
+      [&] { return fwd.s.edgesExecuted() >= 40; });
+  EXPECT_FALSE(rep.diverged) << rep.what;
+  EXPECT_EQ(fwd.r.packetsRouted(), script.size());
+  return fwd.drain.seen;
 }
 
 // Node ids seen from (1,1) of a 3x3 mesh.
@@ -469,16 +487,17 @@ TEST(NocMesh, MessageLockingPreservesTrains) {
   }
 }
 
-TEST(NocMesh, DeepCheckReplaysEveryEdgeOnMeshRig) {
-  NocRig rig(3, 3, 4, {0, 2, 6, 8}, 40);
-  rig.sim.setDeepCheck(true);
-  EXPECT_NO_THROW(rig.run());
-  EXPECT_TRUE(rig.allDone());
-  EXPECT_GT(rig.sim.deepCheckStats().replayed_edges, 0u);
-  EXPECT_EQ(rig.sim.deepCheckStats().skipped_edges, 0u);
+TEST(NocMesh, OrderOracleGreenOnMeshRig) {
+  NocRig fwd(3, 3, 4, {0, 2, 6, 8}, 40);
+  NocRig rev(3, 3, 4, {0, 2, 6, 8}, 40);
+  const testutil::LockstepReport r = testutil::runOrderOracle(
+      fwd.sim, rev.sim, 1'000'000'000'000ull,
+      [&] { return fwd.allDone() && rev.allDone(); });
+  EXPECT_FALSE(r.diverged) << r.what;
+  EXPECT_TRUE(fwd.allDone());
 }
 
-TEST(NocMesh, DeepCheckReplaysEveryEdgeOnMeshPlatformWindow) {
+TEST(NocMesh, OrderOracleGreenOnMeshPlatformWindow) {
   platform::PlatformConfig cfg;
   cfg.protocol = platform::Protocol::Stbus;
   cfg.topology = platform::Topology::NocMesh;
@@ -486,13 +505,13 @@ TEST(NocMesh, DeepCheckReplaysEveryEdgeOnMeshPlatformWindow) {
   cfg.noc_width = 4;
   cfg.noc_height = 3;
   cfg.workload_scale = 0.25;
-  platform::Platform p(cfg);
-  p.simulator().setDeepCheck(true);
-  EXPECT_NO_THROW(p.simulator().run(20'000'000));  // 20 us simulated
-  ASSERT_NE(p.nocMesh(), nullptr);
-  EXPECT_GT(p.nocMesh()->totalHops(), 0u);
-  EXPECT_GT(p.simulator().deepCheckStats().replayed_edges, 0u);
-  EXPECT_EQ(p.simulator().deepCheckStats().skipped_edges, 0u);
+  platform::Platform fwd(cfg);
+  platform::Platform rev(cfg);
+  const testutil::LockstepReport r = testutil::runOrderOracle(
+      fwd.simulator(), rev.simulator(), 20'000'000);  // 20 us simulated
+  EXPECT_FALSE(r.diverged) << r.what;
+  ASSERT_NE(fwd.nocMesh(), nullptr);
+  EXPECT_GT(fwd.nocMesh()->totalHops(), 0u);
 }
 
 TEST(NocMesh, DeterministicRuns) {

@@ -49,9 +49,9 @@
 //                       manifest entry (SIM_STATE_MEMBERS /
 //                       SIM_STATE_MEMBERS_WITH_BASE) or carry a
 //                       SIM_STATE_EXEMPT(member, "why") — otherwise
-//                       deep-check replay rolls the edge back without it and
-//                       the statecheck checkpoint oracle silently
-//                       diverges (sim/state.hpp).  Reference and
+//                       checkpoint() cannot save it, and the statecheck
+//                       oracle and the fast-forward handoff silently
+//                       diverge (sim/state.hpp).  Reference and
 //                       leading-const members are auto-exempt (wiring and
 //                       immutable configuration).  Dotted entries
 //                       (b_.member_) manifest foreign state a non-Component
@@ -145,8 +145,8 @@ constexpr RuleInfo kRules[] = {
      "mutable static storage is shared across concurrently-running "
      "simulations (core/sweep.hpp)"},
     {"unmanifested-state",
-     "Component member missing from its SIM_STATE manifest: deep-check "
-     "replay and the statecheck oracle cannot restore it "
+     "Component member missing from its SIM_STATE manifest: checkpoint(), "
+     "the statecheck oracle and the fast-forward handoff cannot restore it "
      "(sim/state.hpp)"},
     {"lt-equiv-tag",
      "loosely-timed fast-forward hooks must cite their LT-EQUIV: equivalence "
@@ -586,8 +586,8 @@ class FileLinter {
                  preview +
                  ") but no SIM_STATE manifest; declare SIM_STATE_MEMBERS / "
                  "SIM_STATE_EXEMPT / SIM_STATE_NONE (sim/state.hpp) so "
-                 "deep-check replay and the statecheck oracle can "
-                 "save and restore it");
+                 "checkpoint() and the statecheck oracle can save and "
+                 "restore it");
       return;
     }
     std::map<std::string, std::size_t> counts;  // name -> occurrences
@@ -615,7 +615,7 @@ class FileLinter {
       if (counts.count(name) || cs.member_allowed.count(name)) continue;
       report(line, "unmanifested-state",
              "member '" + name + "' of '" + cs.name +
-                 "' is in no SIM_STATE manifest; deep-check replay and the "
+                 "' is in no SIM_STATE manifest; checkpoint() and the "
                  "statecheck oracle cannot restore it — add it to "
                  "SIM_STATE_MEMBERS or document the exemption with "
                  "SIM_STATE_EXEMPT(" +
