@@ -35,6 +35,7 @@ void AxiBus::finalize() {
   reserved_.assign(numTargets(), 0);
   ar_issued_.assign(numInitiators(), false);
   w_granted_.assign(numInitiators(), false);
+  window_idx_.assign(numInitiators(), 0);
 }
 
 void AxiBus::evaluate() {
@@ -68,30 +69,39 @@ int AxiBus::findInWindow(std::size_t initiator, Opcode op,
   return -1;
 }
 
+std::optional<std::pair<std::size_t, std::size_t>> AxiBus::pickRequest(
+    txn::Arbiter& arb, std::size_t t, Opcode op,
+    const std::vector<bool>& issued) {
+  cands_.clear();
+  for (std::size_t i = 0; i < initiators_.size(); ++i) {
+    if (issued[i]) continue;
+    const int k = findInWindow(i, op, t);
+    if (k < 0) continue;
+    const std::size_t slot = static_cast<std::size_t>(k);
+    const RequestPtr& r = initiators_[i]->req.at(slot);
+    if (!outstandingOk(i, r)) continue;
+    cands_.push_back({i, r->priority});
+    window_idx_[i] = slot;
+  }
+  const auto winner = arb.pick(cands_, initiators_.size(), now());
+  if (!winner) return std::nullopt;
+  return std::make_pair(*winner, window_idx_[*winner]);
+}
+
 void AxiBus::readRequestPath() {
   for (std::size_t t = 0; t < targets_.size(); ++t) {
     auto& eng = ar_[t];
     if (!targets_[t]->req.canPush(reserved_[t] + 1)) continue;
 
-    std::vector<txn::Arbiter::Candidate> cands;
-    std::vector<int> window_idx(initiators_.size(), -1);
-    for (std::size_t i = 0; i < initiators_.size(); ++i) {
-      if (ar_issued_[i]) continue;  // one AR per master port per cycle
-      int k = findInWindow(i, Opcode::Read, t);
-      if (k < 0) continue;
-      const RequestPtr& r = initiators_[i]->req.at(static_cast<std::size_t>(k));
-      if (!outstandingOk(i, r)) continue;
-      cands.push_back({i, r->priority});
-      window_idx[i] = k;
-    }
-    auto winner = eng.arb.pick(cands, initiators_.size(), now());
+    // One AR per master port per cycle.
+    const auto winner = pickRequest(eng.arb, t, Opcode::Read, ar_issued_);
     if (!winner) continue;
+    const auto [ini, slot] = *winner;
 
-    RequestPtr req = initiators_[*winner]->req.popAt(
-        static_cast<std::size_t>(window_idx[*winner]));
+    RequestPtr req = initiators_[ini]->req.popAt(slot);
     eng.chan.markTransfer();  // a burst issues only its first address
-    ar_issued_[*winner] = true;
-    trackAccept(req, *winner, t);
+    ar_issued_[ini] = true;
+    trackAccept(req, ini, t);
     req->accepted_ps = clk_.simulator().now();
     targets_[t]->req.push(req);
   }
@@ -115,24 +125,13 @@ void AxiBus::writeRequestPath() {
     }
     if (!targets_[t]->req.canPush(reserved_[t] + 1)) continue;
 
-    std::vector<txn::Arbiter::Candidate> cands;
-    std::vector<int> window_idx(initiators_.size(), -1);
-    for (std::size_t i = 0; i < initiators_.size(); ++i) {
-      if (w_granted_[i]) continue;
-      int k = findInWindow(i, Opcode::Write, t);
-      if (k < 0) continue;
-      const RequestPtr& r = initiators_[i]->req.at(static_cast<std::size_t>(k));
-      if (!outstandingOk(i, r)) continue;
-      cands.push_back({i, r->priority});
-      window_idx[i] = k;
-    }
-    auto winner = eng.arb.pick(cands, initiators_.size(), now());
+    const auto winner = pickRequest(eng.arb, t, Opcode::Write, w_granted_);
     if (!winner) continue;
+    const auto [ini, slot] = *winner;
 
-    RequestPtr req = initiators_[*winner]->req.popAt(
-        static_cast<std::size_t>(window_idx[*winner]));
-    w_granted_[*winner] = true;
-    trackAccept(req, *winner, t);
+    RequestPtr req = initiators_[ini]->req.popAt(slot);
+    w_granted_[ini] = true;
+    trackAccept(req, ini, t);
     ++reserved_[t];  // the slot is claimed until the payload finishes
     eng.streaming = req;
     eng.beats_left = req->beats;
@@ -148,12 +147,15 @@ void AxiBus::writeRequestPath() {
   }
 }
 
-void AxiBus::harvestResponses(std::size_t initiator, REngine& eng) {
+void AxiBus::harvestResponses() {
+  // One pass for all engines, target-major like each engine's own scan, so
+  // every engine appends its responses in the same order.
   for (std::size_t t = 0; t < targets_.size(); ++t) {
     auto& fifo = targets_[t]->rsp;
     for (std::size_t k = 0; k < fifo.size(); ++k) {
       const ResponsePtr& rsp = fifo.at(k);
-      if (initiatorOf(rsp) != initiator) continue;
+      const std::size_t initiator = initiatorOf(rsp);
+      auto& eng = r_[initiator];
       bool known = false;
       for (const auto& s : eng.active) {
         if (s.rsp == rsp) {
@@ -175,9 +177,12 @@ void AxiBus::harvestResponses(std::size_t initiator, REngine& eng) {
 
 void AxiBus::responsePath() {
   const sim::Picos now = clk_.simulator().now();
+  // Engine i's beat below pops only initiator i's responses, which the
+  // other engines never take, so harvesting once up front sees what
+  // harvesting before each engine would.
+  harvestResponses();
   for (std::size_t i = 0; i < r_.size(); ++i) {
     auto& eng = r_[i];
-    harvestResponses(i, eng);
     if (eng.active.empty()) continue;
 
     // Fine-granularity link arbitration: pick a stream with a due beat, with

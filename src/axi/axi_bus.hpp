@@ -25,6 +25,8 @@
 // paths of a real AXI master interface.
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "stats/probes.hpp"
@@ -104,7 +106,14 @@ class AxiBus final : public txn::InterconnectBase {
   void readRequestPath();
   void writeRequestPath();
   void responsePath();
-  void harvestResponses(std::size_t initiator, REngine& eng);
+  /// Append every newly visible target response to its initiator's engine.
+  void harvestResponses();
+  /// Arbitrate target `t`'s address channel among the initiators whose
+  /// request window holds an `op` routed to it; returns the winner and the
+  /// window slot of its request.
+  std::optional<std::pair<std::size_t, std::size_t>> pickRequest(
+      txn::Arbiter& arb, std::size_t t, txn::Opcode op,
+      const std::vector<bool>& issued);
 
   /// Index (within the visible window of initiator i's queue) of the first
   /// request with the given opcode routed anywhere, or -1.
@@ -123,10 +132,14 @@ class AxiBus final : public txn::InterconnectBase {
   std::vector<bool> ar_issued_;
   std::vector<bool> w_granted_;
   bool finalized_ = false;
+  std::vector<txn::Arbiter::Candidate> cands_;
+  std::vector<std::size_t> window_idx_;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, ar_, aw_, r_, reserved_,
                               ar_issued_, w_granted_, finalized_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(cands_, "per-edge scratch");
+  SIM_STATE_EXEMPT(window_idx_, "per-edge scratch");
 };
 
 }  // namespace mpsoc::axi

@@ -104,6 +104,11 @@ class Bridge::MasterSide final : public txn::MasterBase {
     }
     if (clk_.simulator().now() < staged_.front().ready_at) return;
     const RequestPtr& orig = staged_.front().req;
+    // Side B re-labels every write's posting; check for room before cloning
+    // so a back-pressured cycle allocates nothing and takes no id.
+    const bool posted =
+        orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
+    if (posted ? !canIssuePosted() : !canIssue()) return;
 
     auto clone = std::make_shared<txn::Request>(*orig);
     clone->id = txn::nextTransactionId();
@@ -111,10 +116,7 @@ class Bridge::MasterSide final : public txn::MasterBase {
     clone->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat,
                                     b_.cfg_.width_b_bytes);
     clone->bytes_per_beat = b_.cfg_.width_b_bytes;
-    if (clone->op == Opcode::Write) clone->posted = b_.cfg_.posted_writes_b;
-
-    const bool posted = clone->posted && clone->op == Opcode::Write;
-    if (posted ? !canIssuePosted() : !canIssue()) return;
+    if (clone->op == Opcode::Write) clone->posted = posted;
     origin_[clone->id] = orig;
     issue(clone);
     if (clone->op == Opcode::Read) ++b_.reads_fwd_;

@@ -118,10 +118,6 @@ class ClockDomain {
   /// Time of the next edge on the global timeline.
   Picos nextEdge() const { return next_edge_ps_; }
 
-  /// Registration order among the simulator's domains; coincident edges are
-  /// evaluated in ascending index so results match the declaration order.
-  std::size_t index() const { return index_; }
-
   /// Phase 1 of an edge: bump the cycle counter and run every component.
   void evaluateEdge();
   /// Run the awake components of the current edge without bumping the cycle
@@ -148,7 +144,6 @@ class ClockDomain {
   std::string name_;
   Picos period_ps_;
   Picos next_edge_ps_;
-  std::size_t index_ = 0;
   Cycle cycle_ = 0;
   std::vector<Component*> components_;
   std::vector<Updatable*> updatables_;

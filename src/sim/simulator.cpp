@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "sim/check.hpp"
@@ -19,9 +20,7 @@ ClockDomain& Simulator::addClockDomain(const std::string& name, double mhz) {
   domains_.push_back(
       std::make_unique<ClockDomain>(*this, name, periodFromMhz(mhz)));
   ClockDomain* d = domains_.back().get();
-  d->index_ = domains_.size() - 1;
   if (now_ps_ > 0) d->alignFirstEdge(now_ps_);
-  schedule_valid_ = false;
   return *d;
 }
 
@@ -35,64 +34,23 @@ void Simulator::noteComponentRemoved(Component*) {
   ++component_generation_;
 }
 
-Picos Simulator::nextEdgeTime() {
-  if (domains_.empty()) return kNever;
-  if (domains_.size() == 1) return domains_[0]->nextEdge();
-  if (!schedule_valid_) rebuildSchedule();
-  return schedule_.back().t;
-}
-
-void Simulator::rebuildSchedule() {
-  for (auto& slot : schedule_) {
-    slot.domains.clear();
-    slot_pool_.push_back(std::move(slot.domains));
-  }
-  schedule_.clear();
-  for (const auto& d : domains_) scheduleDomain(d.get());
-  schedule_valid_ = true;
-}
-
-void Simulator::scheduleDomain(ClockDomain* d) {
-  const Picos t = d->nextEdge();
-  // schedule_ is sorted by t descending (back() soonest); walk from the back.
-  std::size_t i = schedule_.size();
-  while (i > 0 && schedule_[i - 1].t < t) --i;
-  if (i > 0 && schedule_[i - 1].t == t) {
-    // Join the existing coincident slot, keeping domain declaration order.
-    auto& v = schedule_[i - 1].domains;
-    auto it = v.begin();
-    while (it != v.end() && (*it)->index() < d->index()) ++it;
-    v.insert(it, d);
-    return;
-  }
-  EdgeSlot slot;
-  if (!slot_pool_.empty()) {
-    slot.domains = std::move(slot_pool_.back());
-    slot_pool_.pop_back();
-  }
-  slot.t = t;
-  slot.domains.push_back(d);
-  schedule_.insert(schedule_.begin() + static_cast<std::ptrdiff_t>(i),
-                   std::move(slot));
+Picos Simulator::nextEdgeTime() const {
+  Picos t = kNever;
+  for (const auto& d : domains_) t = std::min(t, d->next_edge_ps_);
+  return t;
 }
 
 bool Simulator::step() {
   if (domains_.empty()) return false;
   ++edges_executed_;
 
+  // Min-scan: the soonest next edge, then every domain on that instant in
+  // declaration order.  With a handful of domains this is cheaper than
+  // keeping a sorted schedule up to date.
+  now_ps_ = nextEdgeTime();
   edge_scratch_.clear();
-  if (domains_.size() == 1) {
-    // Single-domain fast path: every edge is the sole domain's next edge.
-    ClockDomain* d = domains_[0].get();
-    now_ps_ = d->nextEdge();
-    edge_scratch_.push_back(d);
-  } else {
-    if (!schedule_valid_) rebuildSchedule();
-    EdgeSlot& slot = schedule_.back();
-    now_ps_ = slot.t;
-    edge_scratch_.swap(slot.domains);
-    slot_pool_.push_back(std::move(slot.domains));
-    schedule_.pop_back();
+  for (const auto& d : domains_) {
+    if (d->next_edge_ps_ == now_ps_) edge_scratch_.push_back(d.get());
   }
 
   // Phase 1: evaluate every domain whose edge coincides with t.
@@ -110,11 +68,6 @@ bool Simulator::step() {
   phase_ = Phase::Commit;
   for (ClockDomain* d : edge_scratch_) d->commitEdge();
   phase_ = Phase::Outside;
-
-  // Re-slot each domain at its freshly advanced next edge.
-  if (domains_.size() > 1 && schedule_valid_) {
-    for (ClockDomain* d : edge_scratch_) scheduleDomain(d);
-  }
   return true;
 }
 
@@ -168,8 +121,6 @@ void Simulator::restoreCheckpoint() {
     domains_[i]->cycle_ = ckpt_.domain_state[i].first;
     domains_[i]->next_edge_ps_ = ckpt_.domain_state[i].second;
   }
-  // The rewind moved every domain's next-edge instant; rebuild lazily.
-  schedule_valid_ = false;
   // Post-restore hook, after kernel time is back: components re-derive any
   // state that references simulator-level observations (the watchdog
   // re-baselines its progress sampler against the restored counters, so a
@@ -232,7 +183,6 @@ void Simulator::fastForwardTo(Picos t) {
       d->next_edge_ps_ = (t / d->period_ps_ + 1) * d->period_ps_;
     }
   }
-  schedule_valid_ = false;
   // Let components re-anchor absolute-time state (SDRAM refresh deadlines,
   // watchdog baselines) onto the new instant.
   for (const auto& d : domains_) {

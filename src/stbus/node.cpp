@@ -3,7 +3,6 @@
 #include "sim/check.hpp"
 #include "verify/context.hpp"
 #include "verify/port_monitor.hpp"
-#include <limits>
 
 namespace mpsoc::stbus {
 
@@ -34,6 +33,7 @@ void StbusNode::finalize() {
   const std::size_t nrsp = cfg_.shared_bus ? 1 : numInitiators();
   req_engines_.resize(nreq);
   rsp_engines_.resize(nrsp);
+  rsp_picks_.resize(nrsp);
   for (auto& e : req_engines_) e.arb = txn::Arbiter(cfg_.arb);
 }
 
@@ -70,18 +70,62 @@ void StbusNode::requestPath() {
 }
 
 void StbusNode::responsePath() {
+  // One pass over the target response FIFOs finds every free engine's
+  // candidate.  In crossbar mode this matches selecting per engine in turn
+  // because engine i only pops and retires initiator i's responses, which no
+  // other engine would pick.  The one thing a pop changes for the others is
+  // the front of its target FIFO under Types 1/2; the loop below offers that
+  // new front to the engines still to run.
+  const bool in_order = cfg_.type != StbusType::T3;
+  bool any_free = false;
+  for (const auto& e : rsp_engines_) any_free |= !e.stream.active();
+  if (any_free) {
+    for (std::size_t t = 0; t < targets_.size(); ++t) {
+      auto& fifo = targets_[t]->rsp;
+      // Types 1/2: targets deliver in production order, so only the front of
+      // each target FIFO is a candidate.  Type 3 supports out-of-order
+      // delivery and may pick any queued response.
+      const std::size_t depth =
+          in_order ? (fifo.empty() ? 0 : 1) : fifo.size();
+      for (std::size_t k = 0; k < depth; ++k) offerResponse(t, fifo.at(k), 0);
+    }
+  }
   for (std::size_t i = 0; i < rsp_engines_.size(); ++i) {
     auto& e = rsp_engines_[i];
-    if (!e.stream.active()) {
-      selectResponse(e, cfg_.shared_bus ? std::nullopt : std::make_optional(i));
+    RspPick& pick = rsp_picks_[i];
+    if (pick.rsp) {
+      e.stream.rsp = std::move(pick.rsp);
+      e.stream.target = pick.target;
+      e.stream.initiator = pick.initiator;
+      e.stream.next_beat = 0;
+      pick = RspPick{};
     }
-    if (e.stream.active()) {
-      const std::size_t tgt = e.stream.target;
-      if (streamBeat(e.stream, e.chan) && cfg_.type == StbusType::T1) {
-        auto& re = cfg_.shared_bus ? req_engines_[0] : req_engines_[tgt];
-        re.locked = false;
-      }
+    if (!e.stream.active()) continue;
+    const std::size_t tgt = e.stream.target;
+    if (!streamBeat(e.stream, e.chan)) continue;
+    if (cfg_.type == StbusType::T1) {
+      req_engines_[cfg_.shared_bus ? 0 : tgt].locked = false;
     }
+    auto& fifo = targets_[tgt]->rsp;
+    if (in_order && !fifo.empty()) offerResponse(tgt, fifo.front(), i + 1);
+  }
+}
+
+void StbusNode::offerResponse(std::size_t t, const ResponsePtr& rsp,
+                              std::size_t first_engine) {
+  const std::size_t ini = initiatorOf(rsp);
+  const std::size_t eng = cfg_.shared_bus ? 0 : ini;
+  if (eng < first_engine || rsp_engines_[eng].stream.active()) return;
+  if (cfg_.type != StbusType::T3 && rsp->req->id != oldestInflight(ini)) {
+    return;  // in-order delivery per initiator
+  }
+  RspPick& pick = rsp_picks_[eng];
+  const sim::Picos key = rsp->sched.first_beat;
+  if (key < pick.key || (key == pick.key && t < pick.target)) {
+    pick.rsp = rsp;
+    pick.key = key;
+    pick.target = t;
+    pick.initiator = ini;
   }
 }
 
@@ -128,7 +172,8 @@ void StbusNode::runReqEngine(ReqEngine& e,
     }
   }
 
-  std::vector<txn::Arbiter::Candidate> cands;
+  auto& cands = req_cands_;
+  cands.clear();
   for (std::size_t i = 0; i < initiators_.size(); ++i) {
     auto* p = initiators_[i];
     if (p->req.empty()) continue;
@@ -170,43 +215,6 @@ void StbusNode::finishStream(ReqEngine& e) {
   targets_[e.stream_target]->req.push(e.streaming);
   if (cfg_.type == StbusType::T1) e.locked = true;
   e.streaming.reset();
-}
-
-void StbusNode::selectResponse(RspEngine& e,
-                               std::optional<std::size_t> fixed_initiator) {
-  ResponsePtr best;
-  std::size_t best_target = 0;
-  std::size_t best_ini = 0;
-  sim::Picos best_key = std::numeric_limits<sim::Picos>::max();
-
-  for (std::size_t t = 0; t < targets_.size(); ++t) {
-    auto& fifo = targets_[t]->rsp;
-    // Types 1/2: targets deliver in production order, so only the front of
-    // each target FIFO is a candidate.  Type 3 supports out-of-order
-    // delivery and may pick any queued response.
-    const std::size_t depth = cfg_.type == StbusType::T3 ? fifo.size()
-                              : (fifo.empty() ? 0 : 1);
-    for (std::size_t k = 0; k < depth; ++k) {
-      const ResponsePtr& rsp = fifo.at(k);
-      const std::size_t ini = initiatorOf(rsp);
-      if (fixed_initiator && ini != *fixed_initiator) continue;
-      if (cfg_.type != StbusType::T3 && rsp->req->id != oldestInflight(ini)) {
-        continue;  // in-order delivery per initiator
-      }
-      if (rsp->sched.first_beat < best_key) {
-        best = rsp;
-        best_key = rsp->sched.first_beat;
-        best_target = t;
-        best_ini = ini;
-      }
-    }
-  }
-  if (best) {
-    e.stream.rsp = best;
-    e.stream.target = best_target;
-    e.stream.initiator = best_ini;
-    e.stream.next_beat = 0;
-  }
 }
 
 }  // namespace mpsoc::stbus

@@ -26,6 +26,7 @@
 // its response channel at exactly 50% efficiency (Section 4.1.2).
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -109,12 +110,24 @@ class StbusNode final : public txn::InterconnectBase {
     auto simStateMembers() { return std::tie(stream, chan); }
   };
 
+  /// Response candidate of one response engine: the earliest deliverable
+  /// response seen so far this edge (target-major order breaks first-beat
+  /// ties).
+  struct RspPick {
+    txn::ResponsePtr rsp;
+    sim::Picos key = std::numeric_limits<sim::Picos>::max();
+    std::size_t target = 0;
+    std::size_t initiator = 0;
+  };
+
   void requestPath();
   void responsePath();
   void runReqEngine(ReqEngine& e, std::optional<std::size_t> fixed_target);
-  /// Pick the next response deliverable on the channel of `eng`.
-  /// `fixed_initiator` set in crossbar mode.
-  void selectResponse(RspEngine& e, std::optional<std::size_t> fixed_initiator);
+  /// Offer a queued response of target `t` to the engine of its channel
+  /// unless that engine is busy, runs before `first_engine` this edge, or
+  /// (Types 1/2) the response is not its initiator's oldest.
+  void offerResponse(std::size_t t, const txn::ResponsePtr& rsp,
+                     std::size_t first_engine);
 
   bool eligible(std::size_t initiator, const txn::RequestPtr& front,
                 std::size_t target) const;
@@ -125,10 +138,14 @@ class StbusNode final : public txn::InterconnectBase {
   std::vector<ReqEngine> req_engines_;
   std::vector<RspEngine> rsp_engines_;
   bool finalized_ = false;
+  std::vector<txn::Arbiter::Candidate> req_cands_;
+  std::vector<RspPick> rsp_picks_;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, req_engines_,
                               rsp_engines_, finalized_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(req_cands_, "per-edge scratch");
+  SIM_STATE_EXEMPT(rsp_picks_, "per-edge scratch");
 };
 
 }  // namespace mpsoc::stbus

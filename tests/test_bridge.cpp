@@ -1,6 +1,7 @@
 // Bridge tests: store-and-forward writes, blocking vs split reads, clock and
 // width conversion, multi-layer topologies (two STBus nodes joined by a
-// GenConv, AHB-AHB blocking behaviour of Section 4.2).
+// GenConv, AHB-AHB blocking behaviour of Section 4.2), and no side-B clone
+// for a back-pressured cycle.
 
 #include <gtest/gtest.h>
 
@@ -188,6 +189,74 @@ TEST(Bridge, InOrderDeliveryOnSideA) {
 
   sim.runUntilIdle(1'000'000'000'000ull);
   EXPECT_TRUE(gen.done());
+}
+
+TEST(Bridge, BlockedSideBCyclesTakeNoTransactionIds) {
+  // Side B is back-pressured for kHold cycles.  The bridge checks for room
+  // before it clones, so the transaction ids consumed over the run are
+  // exactly the clones it issued, not one per blocked cycle.
+  constexpr std::size_t kReads = 6;
+  constexpr sim::Cycle kHold = 200;
+  sim::Simulator sim;
+  auto& clk_a = sim.addClockDomain("a", 200.0);
+  auto& clk_b = sim.addClockDomain("b", 200.0);
+  bridge::Bridge br(clk_a, clk_b, "br", bridge::genConvConfig(4, 4));
+
+  // Side A: pushes kReads reads into the bridge, drains the responses.
+  struct Driver : sim::Component {
+    txn::TargetPort& port;
+    std::vector<txn::RequestPtr> reqs;
+    std::size_t sent = 0;
+    std::size_t done = 0;
+    Driver(sim::ClockDomain& c, txn::TargetPort& p)
+        : sim::Component(c, "drv"), port(p) {
+      for (std::size_t i = 0; i < kReads; ++i) {
+        auto r = std::make_shared<txn::Request>();
+        r->id = txn::nextTransactionId();
+        r->root_id = r->id;
+        r->addr = 0x40 * i;
+        r->beats = 4;
+        reqs.push_back(r);
+      }
+    }
+    void evaluate() override {
+      if (sent < reqs.size() && port.req.canPush()) port.req.push(reqs[sent++]);
+      while (!port.rsp.empty()) {
+        port.rsp.pop();
+        ++done;
+      }
+    }
+    bool idle() const override { return done == reqs.size(); }
+  };
+  // Side B: accepts nothing before cycle kHold, then answers every read.
+  struct HeldSlave : sim::Component {
+    txn::InitiatorPort& port;
+    HeldSlave(sim::ClockDomain& c, txn::InitiatorPort& p)
+        : sim::Component(c, "slave"), port(p) {}
+    void evaluate() override {
+      if (now() < kHold) return;
+      while (!port.req.empty() && port.rsp.canPush()) {
+        auto rsp = std::make_shared<txn::Response>();
+        rsp->req = port.req.pop();
+        rsp->beats = rsp->req->beats;
+        rsp->sched.first_beat = clk_.simulator().now() + clk_.period();
+        rsp->sched.beat_period = clk_.period();
+        port.rsp.push(rsp);
+      }
+    }
+    bool idle() const override { return port.req.empty(); }
+  };
+  Driver drv(clk_a, br.slavePort());
+  HeldSlave slave(clk_b, br.masterPort());
+
+  const std::uint64_t before = txn::nextTransactionId();
+  sim.runUntilIdle(1'000'000'000ull);
+  const std::uint64_t consumed = txn::nextTransactionId() - before - 1;
+
+  EXPECT_EQ(drv.done, kReads);
+  EXPECT_EQ(br.readsForwarded(), kReads);
+  EXPECT_GT(clk_b.now(), kHold);
+  EXPECT_EQ(consumed, br.readsForwarded());
 }
 
 }  // namespace

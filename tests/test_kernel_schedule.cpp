@@ -1,12 +1,16 @@
 // Regression and unit tests for the activity-driven edge loop: the run()
 // time-bound fix, the runUntilIdle() stale-snapshot / last-active fixes, the
-// Watchdog first-interval fix, the cached coincident-edge schedule, and the
-// sleep()/wake() activity protocol (gating equivalence, wake hooks, contract
-// enforcement, gated-vs-ungated lockstep divergence on illegal sleeps).
+// Watchdog first-interval fix, the min-scan edge schedule (checked against a
+// brute-force grid enumeration), and the sleep()/wake() activity protocol
+// (gating equivalence, wake hooks, contract enforcement, gated-vs-ungated
+// lockstep divergence on illegal sleeps).
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -151,13 +155,113 @@ TEST(KernelWatchdog, FiresOnFirstStalledInterval) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge-schedule cache
+// Edge schedule
 // ---------------------------------------------------------------------------
+
+// Every instant in (from, to] holding an edge of some domain, mapped to the
+// indices of the domains on it in ascending order.  Enumerated from each
+// period's grid (multiples of the period), independently of the kernel.
+std::map<sim::Picos, std::vector<std::size_t>> gridEdges(
+    const std::vector<sim::Picos>& periods, sim::Picos from, sim::Picos to) {
+  std::map<sim::Picos, std::vector<std::size_t>> edges;
+  for (std::size_t d = 0; d < periods.size(); ++d) {
+    for (sim::Picos t = (from / periods[d] + 1) * periods[d]; t <= to;
+         t += periods[d]) {
+      edges[t].push_back(d);
+    }
+  }
+  return edges;
+}
+
+// Logs (instant, domain index) each time one of its domain's edges runs.
+struct EdgeStamp : sim::Component {
+  std::vector<std::pair<sim::Picos, std::size_t>>& log;
+  std::size_t domain;
+  EdgeStamp(sim::ClockDomain& c,
+            std::vector<std::pair<sim::Picos, std::size_t>>& l,
+            std::size_t d)
+      : sim::Component(c, "stamp"), log(l), domain(d) {}
+  void evaluate() override { log.emplace_back(clk_.simulator().now(), domain); }
+  bool idle() const override { return false; }
+  SIM_STATE_NONE();
+};
+
+// The paper platform's five clock domains: N8 (250 MHz), N1 and N5
+// (200 MHz), N2 (133 MHz) and the ST220 (400 MHz).  Their hyperperiod is
+// lcm(4000, 5000, 5000, 7519, 2500) ps = 150.38 us.
+constexpr sim::Picos kHyperperiod = 150'380'000;
+
+struct ScheduleRig {
+  sim::Simulator s;
+  std::vector<std::pair<sim::Picos, std::size_t>> log;
+  std::vector<std::unique_ptr<EdgeStamp>> stamps;
+
+  ScheduleRig() {
+    for (double mhz : {250.0, 200.0, 200.0, 133.0, 400.0}) addDomain(mhz);
+  }
+
+  void addDomain(double mhz) {
+    const std::size_t i = s.domains().size();
+    auto& d = s.addClockDomain("d" + std::to_string(i), mhz);
+    stamps.push_back(std::make_unique<EdgeStamp>(d, log, i));
+  }
+
+  // Step edge by edge through (now, to] and check every instant and the
+  // domains on it against gridEdges(), then the edge count.
+  void expectGridUntil(sim::Picos to) {
+    std::vector<sim::Picos> periods;
+    for (const auto& d : s.domains()) periods.push_back(d->period());
+    const auto ref = gridEdges(periods, s.now(), to);
+    const std::uint64_t edges_before = s.edgesExecuted();
+    for (const auto& [t, domains] : ref) {
+      log.clear();
+      ASSERT_TRUE(s.step());
+      ASSERT_EQ(s.now(), t);
+      std::vector<std::size_t> ran;
+      for (const auto& [at, d] : log) {
+        ASSERT_EQ(at, t);
+        ran.push_back(d);
+      }
+      ASSERT_EQ(ran, domains) << "domains on the edge at t=" << t << " ps";
+    }
+    EXPECT_EQ(s.edgesExecuted() - edges_before, ref.size());
+  }
+};
+
+TEST(KernelSchedule, MinScanMatchesGridOverHyperperiod) {
+  ScheduleRig rig;
+  ASSERT_EQ(rig.s.domains()[3]->period(), 7519u);
+  rig.expectGridUntil(kHyperperiod);
+  EXPECT_EQ(rig.s.now(), kHyperperiod);  // all five domains coincide here
+}
+
+TEST(KernelSchedule, MinScanMatchesGridAfterRestore) {
+  ScheduleRig rig;
+  rig.s.run(37'000'000);
+  rig.s.checkpoint();
+  rig.s.run(90'000'000);
+  rig.s.restoreCheckpoint();
+  rig.expectGridUntil(rig.s.now() + kHyperperiod);
+}
+
+TEST(KernelSchedule, MinScanMatchesGridAfterFastForward) {
+  ScheduleRig rig;
+  rig.s.run(1'000'000);
+  rig.s.fastForwardTo(41'234'567);  // off every domain's grid
+  rig.expectGridUntil(rig.s.now() + kHyperperiod);
+}
+
+TEST(KernelSchedule, MinScanMatchesGridWithDomainAddedMidRun) {
+  ScheduleRig rig;
+  rig.s.run(12'345'000);
+  rig.addDomain(300.0);  // 3333 ps: first edge at the next multiple
+  rig.expectGridUntil(rig.s.now() + kHyperperiod);
+}
 
 TEST(KernelSchedule, DomainAddedMidRunAlignsToGrid) {
   // A domain created at t=30 ns gets its first edge at the next multiple of
   // its period after now() — the grid it would occupy had it existed from
-  // t=0 — and the cached schedule is rebuilt to include it.
+  // t=0 — and the next scan includes it.
   sim::Simulator s;
   auto& a = s.addClockDomain("a", 100.0);  // 10 ns
   Ticker ta(a, "ta");
@@ -181,8 +285,8 @@ TEST(KernelSchedule, DomainAddedMidRunAlignsToGrid) {
 
 TEST(KernelSchedule, CoincidentNonIntegerRatioEdgesCountOnce) {
   // 400 MHz (2500 ps) against 250 MHz (4000 ps): periods in 5:8 ratio, first
-  // coincidence at 20 ns.  The coincident instant is one edge (one slot in
-  // the schedule), so edgesExecuted() counts 8 + 5 - 1.
+  // coincidence at 20 ns.  The coincident instant is one edge, so
+  // edgesExecuted() counts 8 + 5 - 1.
   sim::Simulator s;
   auto& fast = s.addClockDomain("fast", 400.0);
   auto& slow = s.addClockDomain("slow", 250.0);
@@ -195,8 +299,8 @@ TEST(KernelSchedule, CoincidentNonIntegerRatioEdgesCountOnce) {
   EXPECT_EQ(s.now(), 20'000u);
 }
 
-TEST(KernelSchedule, SingleDomainFastPath) {
-  // One domain bypasses the schedule entirely; edge accounting must match.
+TEST(KernelSchedule, SingleDomainEdgeAccounting) {
+  // One domain: every edge is that domain's; edge accounting must match.
   sim::Simulator s;
   auto& clk = s.addClockDomain("clk", 100.0);
   Ticker t(clk, "t");

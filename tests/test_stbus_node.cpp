@@ -1,10 +1,15 @@
 // STBus node tests: many-to-one service, split-transaction behaviour across
 // types, message arbitration, response-channel efficiency against a
-// wait-state-bound memory (Section 4.1.2 of the paper).
+// wait-state-bound memory (Section 4.1.2 of the paper), and the crossbar's
+// single-pass response selection.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
@@ -244,6 +249,150 @@ TEST(StbusNode, DeeperTargetFifoNeverSlower) {
   sim::Picos t_shallow = shallow.run();
   sim::Picos t_deep = deep.run();
   EXPECT_LE(t_deep, t_shallow);
+}
+
+// ---------------------------------------------------------------------------
+// Crossbar response selection
+// ---------------------------------------------------------------------------
+
+// Issues single-beat reads to the given addresses, one per cycle, tagged
+// with `tag`, and records the address and instant of every response.
+struct ScriptedMaster : sim::Component {
+  txn::InitiatorPort& port;
+  std::vector<txn::RequestPtr> reqs;
+  std::size_t sent = 0;
+  std::vector<std::pair<std::uint64_t, sim::Picos>> arrivals;
+
+  ScriptedMaster(sim::ClockDomain& c, const std::string& name,
+                 txn::InitiatorPort& p, const std::vector<std::uint64_t>& addrs,
+                 std::uint32_t tag)
+      : sim::Component(c, name), port(p) {
+    for (std::uint64_t a : addrs) {
+      auto r = std::make_shared<txn::Request>();
+      r->id = txn::nextTransactionId();
+      r->root_id = r->id;
+      r->addr = a;
+      r->bytes_per_beat = 8;
+      r->tag = tag;
+      reqs.push_back(r);
+    }
+  }
+  void evaluate() override {
+    if (sent < reqs.size() && port.req.canPush()) port.req.push(reqs[sent++]);
+    while (!port.rsp.empty()) {
+      arrivals.emplace_back(port.rsp.pop()->req->addr, clk_.simulator().now());
+    }
+  }
+  bool idle() const override {
+    return sent == reqs.size() && arrivals.size() == reqs.size();
+  }
+};
+
+// Holds every request until its local cycle `release`, then answers all
+// held ones on one edge, ordered by tag, with single-beat responses due on
+// the next edge.
+struct HeldTarget : sim::Component {
+  txn::TargetPort& port;
+  sim::Cycle release;
+  std::vector<txn::RequestPtr> held;
+
+  HeldTarget(sim::ClockDomain& c, const std::string& name, txn::TargetPort& p,
+             sim::Cycle release_at)
+      : sim::Component(c, name), port(p), release(release_at) {}
+  void evaluate() override {
+    while (!port.req.empty()) held.push_back(port.req.pop());
+    if (now() < release || held.empty()) return;
+    std::stable_sort(held.begin(), held.end(),
+                     [](const txn::RequestPtr& a, const txn::RequestPtr& b) {
+                       return a->tag < b->tag;
+                     });
+    for (const auto& r : held) {
+      auto rsp = std::make_shared<txn::Response>();
+      rsp->req = r;
+      rsp->sched.first_beat = clk_.simulator().now() + clk_.period();
+      rsp->sched.beat_period = clk_.period();
+      port.rsp.push(rsp);
+    }
+    held.clear();
+  }
+  bool idle() const override { return held.empty() && port.req.empty(); }
+};
+
+// A crossbar node with `n_targets` held targets of 1 MiB each at 1 MiB
+// strides and one scripted master per address list.
+struct CrossbarRig {
+  sim::Simulator sim;
+  sim::ClockDomain& clk;
+  stbus::StbusNode node;
+  std::vector<std::unique_ptr<txn::TargetPort>> tports;
+  std::vector<std::unique_ptr<HeldTarget>> targets;
+  std::vector<std::unique_ptr<txn::InitiatorPort>> iports;
+  std::vector<std::unique_ptr<ScriptedMaster>> masters;
+
+  CrossbarRig(stbus::StbusType type, const std::vector<sim::Cycle>& releases,
+              const std::vector<std::vector<std::uint64_t>>& addrs)
+      : clk(sim.addClockDomain("bus", 200.0)),
+        node(clk, "n0", [type] {
+          stbus::StbusNodeConfig c;
+          c.type = type;
+          return c;
+        }()) {
+    for (std::size_t t = 0; t < releases.size(); ++t) {
+      const std::string name = "t" + std::to_string(t);
+      tports.push_back(std::make_unique<txn::TargetPort>(clk, name, 4, 4));
+      node.addTarget(*tports.back(), t << 20, 1u << 20);
+      targets.push_back(std::make_unique<HeldTarget>(
+          clk, name + ".mem", *tports.back(), releases[t]));
+    }
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      const std::string name = "m" + std::to_string(i);
+      iports.push_back(std::make_unique<txn::InitiatorPort>(clk, name, 2, 4));
+      node.addInitiator(*iports.back());
+      masters.push_back(std::make_unique<ScriptedMaster>(
+          clk, name + ".gen", *iports.back(), addrs[i],
+          static_cast<std::uint32_t>(i)));
+    }
+  }
+
+  void run() { sim.runUntilIdle(1'000'000'000ull); }
+};
+
+TEST(StbusNode, CrossbarT3EnginesStartOnSameEdge) {
+  // Both initiators' responses wait in the one T3 target FIFO with the same
+  // first beat: each initiator's engine starts its stream on that edge.
+  CrossbarRig rig(stbus::StbusType::T3, {20}, {{0x100}, {0x200}});
+  rig.run();
+  ASSERT_EQ(rig.masters[0]->arrivals.size(), 1u);
+  ASSERT_EQ(rig.masters[1]->arrivals.size(), 1u);
+  EXPECT_EQ(rig.masters[0]->arrivals[0].second,
+            rig.masters[1]->arrivals[0].second);
+  EXPECT_EQ(rig.node.rspChannel(0).transfers(), 1u);
+  EXPECT_EQ(rig.node.rspChannel(1).transfers(), 1u);
+}
+
+TEST(StbusNode, CrossbarT2DeliversOnlyOldestInflight) {
+  // Initiator 0 reads target 0 (answers late), then target 1 (answers at
+  // once).  Type 2 delivers in order per initiator: the early response of
+  // target 1 waits for target 0's, and leaves one edge after it.
+  CrossbarRig rig(stbus::StbusType::T2, {30, 0}, {{0x100, (1u << 20) + 0x100}});
+  rig.run();
+  const auto& got = rig.masters[0]->arrivals;
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].first, 0x100u);
+  EXPECT_EQ(got[1].first, (1u << 20) + 0x100u);
+  EXPECT_EQ(got[1].second, got[0].second + rig.clk.period());
+}
+
+TEST(StbusNode, CrossbarT2PopExposesNextFrontOnSameEdge) {
+  // One T2 target FIFO holds initiator 0's response in front of initiator
+  // 1's.  Engine 0 delivers its response and pops it; the next front is
+  // initiator 1's oldest, which engine 1 delivers on the same edge.
+  CrossbarRig rig(stbus::StbusType::T2, {20}, {{0x100}, {0x200}});
+  rig.run();
+  ASSERT_EQ(rig.masters[0]->arrivals.size(), 1u);
+  ASSERT_EQ(rig.masters[1]->arrivals.size(), 1u);
+  EXPECT_EQ(rig.masters[0]->arrivals[0].second,
+            rig.masters[1]->arrivals[0].second);
 }
 
 }  // namespace
